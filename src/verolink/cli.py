@@ -64,13 +64,12 @@ def parse_sign_spec(spec: str) -> dict[tuple[int, int], int]:
         item = item.strip()
         if not item:
             continue
-        try:
-            key, sign = item.split(":")
-            i, j = int(key[0]), int(key[1])
-        except (ValueError, IndexError):
+        key, _, sign = item.partition(":")
+        if not (len(key) == 2 and key.isascii() and key.isdigit()):
             raise ValueError(f"bad sign entry {item!r}; expected like '12:-'")
-        if sign not in "+-":
+        if sign not in ("+", "-"):
             raise ValueError(f"bad sign {sign!r} in {item!r}")
+        i, j = int(key[0]), int(key[1])
         out[pair(i, j)] = 1 if sign == "+" else -1
     return out
 

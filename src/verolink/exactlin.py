@@ -1,9 +1,12 @@
 """Exact integer and rational linear algebra.
 
 Everything here runs over Python ints (arbitrary precision) or
-``fractions.Fraction``; there is no floating point anywhere.  The
-integer normal forms return their unimodular transforms so callers can
-certify results instead of trusting them:
+``fractions.Fraction``; there is no floating point anywhere.  Ranks,
+nullspaces, reduced echelon forms and rational solves all run on one
+fraction-free elimination kernel, ``_int_rref``, over integer rows;
+rational input is scaled row by row to integers first.  The integer
+normal forms return their unimodular transforms so callers can certify
+results instead of trusting them:
 
 * ``hermite_normal_form(M)`` returns ``(H, U)`` with ``U @ M == H``.
 * ``smith_normal_form(M)`` returns ``(U, S, W)`` with ``U @ M @ W == S``.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import IndexNotFinite, SizeMismatch
 
@@ -404,41 +408,20 @@ def column_lattice_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(basis, rows=M.rows)
 
 
-def solve_rational(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+def solve_rational(A: IntMatrix | RatMatrix, B: IntMatrix | RatMatrix) -> RatMatrix:
     """Solve ``A @ X == B`` over the rationals.
 
-    Raises ValueError when the system is inconsistent or the solution is
-    not unique (A must have full column rank).
+    X is read off the reduced row echelon form of ``[A | B]``.  Raises
+    ValueError when the solution is not unique (A must have full column
+    rank) or the system is inconsistent, checked in that order.
     """
-    if A.rows != B.rows:
-        raise SizeMismatch("row counts differ")
-    m, k = A.rows, A.cols
-    aug = [list(A.data[i]) + list(B.data[i]) for i in range(m)]
-    width = k + B.cols
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) < k:
+    k = A.cols
+    rows, pivots = rational_rref(A.hstack(B))
+    if pivots[:k] != list(range(k)):
         raise ValueError("coefficient matrix is rank deficient")
-    for i in range(r, m):
-        if any(aug[i][j] != 0 for j in range(k, width)):
-            raise ValueError("inconsistent system")
-    X = [[Fraction(0)] * B.cols for _ in range(k)]
-    for row_idx, c in enumerate(pivots):
-        X[c] = aug[row_idx][k:width]
-    return RatMatrix(X, cols=B.cols)
+    if len(pivots) > k:
+        raise ValueError("inconsistent system")
+    return RatMatrix([row[k:] for row in rows[:k]], cols=B.cols)
 
 
 def invariant_factors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
@@ -454,7 +437,7 @@ def invariant_factors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
         if basis.cols == 0:
             return []
         raise IndexNotFinite("empty sublattice in a positive-rank lattice")
-    coords = solve_rational(basis.to_rational(), sub.to_rational())
+    coords = solve_rational(basis, sub)
     int_coords = []
     for row in coords.data:
         out = []
@@ -475,11 +458,9 @@ def _int_rref(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
     Rows are updated by cross-multiplication and renormalized by their
     gcd, so all arithmetic stays in the integers; pivot entries end up
-    positive but not necessarily one.  Mutates ``a`` and returns
-    (rows, pivot column indices).
+    positive but not necessarily one, and the zero rows come last.
+    Mutates ``a`` and returns (rows, pivot column indices).
     """
-    from math import gcd
-
     m = len(a)
     k = len(a[0]) if m else 0
     pivots = []
@@ -515,49 +496,33 @@ def _int_rref(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return a, pivots
 
 
-def rational_rref(M: RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with unit pivots; returns (rows, pivots)."""
-    a = [row[:] for row in M.data]
-    m, k = M.rows, M.cols
-    pivots = []
-    r = 0
-    for c in range(k):
-        if r >= m:
-            break
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+def _as_int_rows(M: IntMatrix | RatMatrix) -> list[list[int]]:
+    """Integer rows for ``_int_rref``, always a fresh copy it may mutate.
 
-
-def _as_int_rows(M: RatMatrix) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves the row space)."""
-    from math import lcm
-
+    IntMatrix rows are copied as they are; rational rows are scaled by
+    the lcm of their denominators (row scaling preserves the row space).
+    """
+    if isinstance(M, IntMatrix):
+        return [row[:] for row in M.data]
     out = []
     for row in M.data:
-        scale = 1
-        for x in row:
-            scale = lcm(scale, x.denominator)
+        scale = lcm(*(x.denominator for x in row))
         out.append([int(x * scale) for x in row])
     return out
 
 
-def rational_rank(M: RatMatrix) -> int:
-    # Row scaling does not change the row space, so ranks agree.
+def rational_rref(M: IntMatrix | RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form with unit pivots; returns (rows, pivots)."""
+    a, pivots = _int_rref(_as_int_rows(M))
+    scales = [row[c] for row, c in zip(a, pivots)] + [1] * (len(a) - len(pivots))
+    return [[Fraction(x, s) for x in row] for row, s in zip(a, scales)], pivots
+
+
+def rational_rank(M: IntMatrix | RatMatrix) -> int:
     return len(_int_rref(_as_int_rows(M))[1])
 
 
-def rational_nullspace(M: RatMatrix) -> RatMatrix:
+def rational_nullspace(M: IntMatrix | RatMatrix) -> RatMatrix:
     """Basis of the right nullspace over the rationals, as columns.
 
     For each free column f the basis vector has entry 1 at f, so

@@ -3,7 +3,7 @@
 A fiber is the set of monomials of a fixed multidegree b.  Two fiber
 points are equivalent modulo the principal-minor lattice exactly when
 their off-diagonal entries away from the last column agree modulo two;
-``class_key`` reads that invariant off directly, while
+``off_diagonal_parities`` reads that invariant off directly, while
 ``connectivity_classes`` recovers the partition by brute-force walks
 and serves as its independent oracle.
 """
@@ -22,13 +22,13 @@ DEFAULT_SIZE_CAP = 10 ** 6
 
 
 def size_cap() -> int:
-    """Fiber-point cap; the VLAB_SIZE_CAP environment variable overrides."""
+    """Fiber-point cap; VLAB_SIZE_CAP overrides it and must be an integer."""
     raw = os.environ.get("VLAB_SIZE_CAP")
     if raw is not None:
         try:
             return int(raw)
         except ValueError:
-            pass
+            raise ValueError(f"VLAB_SIZE_CAP must be an integer, got {raw!r}") from None
     return DEFAULT_SIZE_CAP
 
 
@@ -130,6 +130,12 @@ def _parity_positions(n: int) -> tuple[int, ...]:
     return tuple(pos[(i, j)] for i in range(1, n) for j in range(i + 1, n))
 
 
+def off_diagonal_parities(exps: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Exponents of the pairs {i < j <= n-1} in dense weight-2 ``exps``
+    modulo two, in lexicographic pair order."""
+    return tuple([exps[p] & 1 for p in _parity_positions(n)])
+
+
 @dataclass(frozen=True)
 class FiberClassKey:
     """Complete invariant of a fiber point modulo the principal-minor lattice.
@@ -148,8 +154,8 @@ class FiberClassKey:
 def class_key(u: Monomial) -> FiberClassKey:
     if u.d != 2:
         raise SizeMismatch("class keys are defined for weight-2 monomials")
-    bits = tuple(u.exps[p] & 1 for p in _parity_positions(u.n))
-    return FiberClassKey(degree=u.degree(), parities=bits)
+    return FiberClassKey(degree=u.degree(),
+                         parities=off_diagonal_parities(u.exps, u.n))
 
 
 def class_count(n: int, b, cap: int | None = None) -> int:
@@ -159,8 +165,7 @@ def class_count(n: int, b, cap: int | None = None) -> int:
     principal-minor ideal at b.
     """
     raw = _raw_fiber(2, n, tuple(b), cap)
-    positions = _parity_positions(n)
-    return len({tuple(exps[p] & 1 for p in positions) for exps in raw})
+    return len({off_diagonal_parities(exps, n) for exps in raw})
 
 
 def is_saturated_degree(n: int, b) -> bool:
@@ -276,10 +281,9 @@ def hilbert_table(n: int, max_sum: int, cap: int | None = None):
 
     Yields (degree, fiber size, class count, saturated flag) rows.
     """
-    positions = _parity_positions(n)
     for b in degrees_up_to(n, max_sum):
         raw = _raw_fiber(2, n, b, cap)
-        classes = len({tuple(e[p] & 1 for p in positions) for e in raw})
+        classes = len({off_diagonal_parities(e, n) for e in raw})
         yield b, len(raw), classes, is_saturated_degree(n, b)
 
 
@@ -289,8 +293,7 @@ def fiber_classes(V: GradingMatrix, b, cap: int | None = None
     points = enumerate_fiber(V, b, cap)
     grouped: dict[tuple[int, ...], list[Monomial]] = {}
     for u in points:
-        bits = tuple(u.exps[p] & 1 for p in _parity_positions(V.n))
-        grouped.setdefault(bits, []).append(u)
+        grouped.setdefault(off_diagonal_parities(u.exps, V.n), []).append(u)
     return sorted(grouped.values(), key=lambda g: g[0].exps)
 
 
@@ -298,6 +301,6 @@ __all__ = [
     "DEFAULT_SIZE_CAP", "FiberClassKey", "canonical_representative",
     "class_count", "class_key", "connectivity_classes", "degree_of",
     "degrees_up_to", "enumerate_fiber", "fiber_classes", "hilbert_table",
-    "is_saturated_degree", "minimal_saturated_fibers", "principal_moves",
-    "size_cap",
+    "is_saturated_degree", "minimal_saturated_fibers",
+    "off_diagonal_parities", "principal_moves", "size_cap",
 ]

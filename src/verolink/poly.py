@@ -23,7 +23,7 @@ from itertools import product
 
 from .errors import (DegreeMismatch, Inhomogeneous, SizeMismatch,
                      ZeroPolynomial)
-from .fibers import FiberClassKey, _parity_positions, class_key
+from .fibers import FiberClassKey, class_key, off_diagonal_parities
 from .veronese import Monomial, pair, pair_count, variable_multisets
 
 
@@ -283,8 +283,9 @@ def character_value(eps: SignCharacter, u: Monomial, u0: Monomial) -> int:
     if u.degree() != u0.degree():
         raise DegreeMismatch("monomials lie in different fibers")
     value = 1
-    for s, p in zip(eps.signs, _parity_positions(eps.n)):
-        if (u.exps[p] - u0.exps[p]) & 1 and s < 0:
+    for s, a, b in zip(eps.signs, off_diagonal_parities(u.exps, eps.n),
+                       off_diagonal_parities(u0.exps, eps.n)):
+        if a != b and s < 0:
             value = -value
     return value
 

@@ -5,25 +5,35 @@ finite-dimensional rational subspaces, one multidegree at a time: the
 graded piece of a generated ideal is spanned by monomial multiples of
 the generators, and the graded piece of an intersection of twisted
 Veronese components is the common kernel of character-weighted
-coefficient sums.  Subspace equality is decided by double-containment
-rank checks, never by comparing echelon forms.
+coefficient sums.  Generators are scaled to integer coefficients and
+character values are +-1, so every matrix here is an integer one.  A
+span lies in a common kernel when one exact integer product vanishes,
+and equality then follows from a dimension count, each dimension being
+one rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import IndexOutOfRange, SizeMismatch
-from .exactlin import (RatMatrix, invariant_factors, kernel_lattice,
-                       rational_nullspace, rational_rank, same_column_space)
-from .fibers import canonical_representative, degrees_up_to, enumerate_fiber
+from .exactlin import (IntMatrix, invariant_factors, kernel_lattice,
+                       rational_nullspace, rational_rank)
+from .fibers import (canonical_representative, degrees_up_to, enumerate_fiber,
+                     off_diagonal_parities)
 from .ideals import generator_lattice, higher_veronese_gens, veronese_minor_gens
 from .link import link_generators
-from .poly import (SignCharacter, SparsePoly, all_characters, character_value,
+from .poly import (SignCharacter, SparsePoly, all_characters,
                    in_principal_minor_ideal, multidegree)
 from .veronese import Monomial, veronese_matrix
+
+
+def _cleared(values) -> list[int]:
+    """Exact rationals times the lcm of their denominators; spans are kept."""
+    scale = lcm(*(x.denominator for x in values))
+    return [int(x * scale) for x in values]
 
 
 @dataclass(frozen=True)
@@ -31,12 +41,12 @@ class DegreePiece:
     """A subspace of the coefficient space of one fiber.
 
     ``fiber`` fixes the coordinate order (lexicographic on exponent
-    tuples); the columns of ``vectors`` span the subspace.
+    tuples); the integer columns of ``vectors`` span the subspace.
     """
 
     degree: tuple[int, ...]
     fiber: tuple[Monomial, ...]
-    vectors: RatMatrix
+    vectors: IntMatrix
 
     def dimension(self) -> int:
         return rational_rank(self.vectors)
@@ -59,13 +69,34 @@ def ideal_degree_piece(gens: list[SparsePoly], n: int, b,
         diff = tuple(x - y for x, y in zip(b, bg))
         if any(x < 0 for x in diff):
             continue
+        terms = list(zip(g.terms, _cleared(list(g.terms.values()))))
         for m in enumerate_fiber(V, diff, cap):
-            vec = [Fraction(0)] * len(fiber)
-            for u, c in g.terms.items():
+            vec = [0] * len(fiber)
+            for u, c in terms:
                 vec[index[(m * u).exps]] += c
             columns.append(vec)
     return DegreePiece(degree=b, fiber=tuple(fiber),
-                       vectors=RatMatrix.from_columns(columns, rows=len(fiber)))
+                       vectors=IntMatrix.from_columns(columns, rows=len(fiber)))
+
+
+def _character_rows(fiber: list[Monomial],
+                    characters: list[SignCharacter]) -> IntMatrix:
+    """The +-1 values of each character on a fiber, relative to its
+    canonical point: -1 where an odd number of the parity bits that
+    differ from that point's carry a minus sign."""
+    u0 = canonical_representative(fiber)
+
+    def mask(u: Monomial) -> int:
+        bits = off_diagonal_parities(u.exps, u0.n)
+        return sum(bit << k for k, bit in enumerate(bits))
+
+    base = mask(u0)
+    diffs = [mask(u) ^ base for u in fiber]
+    rows = []
+    for eps in characters:
+        minus = sum(1 << k for k, s in enumerate(eps.signs) if s < 0)
+        rows.append([-1 if (d & minus).bit_count() & 1 else 1 for d in diffs])
+    return IntMatrix(rows, cols=len(fiber))
 
 
 def subintersection_degree_piece(n: int, omitted: SignCharacter, b,
@@ -79,16 +110,12 @@ def subintersection_degree_piece(n: int, omitted: SignCharacter, b,
     if omitted.n != n:
         raise SizeMismatch("character over a different variable set")
     b = tuple(b)
-    V = veronese_matrix(2, n)
-    fiber = enumerate_fiber(V, b, cap)
-    u0 = canonical_representative(fiber)
-    rows = []
-    for eps in all_characters(n):
-        if eps == omitted:
-            continue
-        rows.append([character_value(eps, u, u0) for u in fiber])
-    nullspace = rational_nullspace(RatMatrix(rows, cols=len(fiber)))
-    return DegreePiece(degree=b, fiber=tuple(fiber), vectors=nullspace)
+    fiber = enumerate_fiber(veronese_matrix(2, n), b, cap)
+    characters = [eps for eps in all_characters(n) if eps != omitted]
+    kernel = rational_nullspace(_character_rows(fiber, characters))
+    vectors = IntMatrix.from_columns([_cleared(c) for c in kernel.columns()],
+                                     rows=len(fiber))
+    return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
 
 
 @dataclass(frozen=True)
@@ -146,16 +173,20 @@ def verify_link(n: int, omitted: SignCharacter, total_degree_bound: int,
 
     For every degree with coordinate sum up to the (even) bound, the
     span of the link generators must equal the kernel cut out by the
-    non-omitted characters.
+    non-omitted characters: the characters annihilate the span, which
+    has the dimension of the kernel.  A negative bound raises ValueError.
     """
+    if total_degree_bound < 0:
+        raise ValueError("a negative degree bound leaves no degree to check")
     gens = link_generators(n, omitted).all_gens()
+    characters = [eps for eps in all_characters(n) if eps != omitted]
     records = []
     for b in degrees_up_to(n, total_degree_bound):
         ideal = ideal_degree_piece(gens, n, b, cap)
-        target = subintersection_degree_piece(n, omitted, b, cap)
+        chars = _character_rows(list(ideal.fiber), characters)
         di = ideal.dimension()
-        dt = target.dimension()
-        equal = di == dt and same_column_space(ideal.vectors, target.vectors)
+        dt = len(ideal.fiber) - rational_rank(chars)
+        equal = di == dt and chars.mul(ideal.vectors).is_zero()
         records.append(DegreeRecord(degree=tuple(b), fiber_size=len(ideal.fiber),
                                     ideal_dim=di, target_dim=dt, equal=equal))
     return VerificationReport(n=n, degree_bound=total_degree_bound, kind="link",
@@ -168,34 +199,28 @@ def verify_decomposition(n: int, total_degree_bound: int,
 
     The common kernel of all character functionals must equal the
     degree piece of the principal-minor ideal, computed independently as
-    the kernel of the class-sum map.
+    the kernel of the class-sum map.  The kernels agree when their row
+    spaces do, as ranks decide.  A negative bound raises ValueError.
     """
-    from .fibers import class_key
-
+    if total_degree_bound < 0:
+        raise ValueError("a negative degree bound leaves no degree to check")
     V = veronese_matrix(2, n)
     characters = all_characters(n)
     records = []
     for b in degrees_up_to(n, total_degree_bound):
         fiber = enumerate_fiber(V, b, cap)
-        u0 = canonical_representative(fiber)
-        char_rows = [[character_value(eps, u, u0) for u in fiber]
-                     for eps in characters]
-        char_piece = rational_nullspace(RatMatrix(char_rows, cols=len(fiber)))
-
-        classes: dict[object, list[int]] = {}
+        chars = _character_rows(fiber, characters)
+        class_rows: dict[tuple[int, ...], list[int]] = {}
         for k, u in enumerate(fiber):
-            classes.setdefault(class_key(u), []).append(k)
-        class_rows = []
-        for members in classes.values():
-            row = [Fraction(0)] * len(fiber)
-            for k in members:
-                row[k] = Fraction(1)
-            class_rows.append(row)
-        ideal_piece = rational_nullspace(RatMatrix(class_rows, cols=len(fiber)))
-
-        di = rational_rank(ideal_piece)
-        dt = rational_rank(char_piece)
-        equal = di == dt and same_column_space(ideal_piece, char_piece)
+            key = off_diagonal_parities(u.exps, n)
+            class_rows.setdefault(key, [0] * len(fiber))[k] = 1
+        rank_chars = rational_rank(chars)
+        rank_both = rational_rank(IntMatrix(chars.data + list(class_rows.values()),
+                                            cols=len(fiber)))
+        # Class rows have disjoint nonempty supports: their rank is their count.
+        di = len(fiber) - len(class_rows)
+        dt = len(fiber) - rank_chars
+        equal = di == dt and rank_both == rank_chars
         records.append(DegreeRecord(degree=tuple(b), fiber_size=len(fiber),
                                     ideal_dim=di, target_dim=dt, equal=equal))
     return VerificationReport(n=n, degree_bound=total_degree_bound,
@@ -233,8 +258,8 @@ def group_algebra_subintersection(k: int) -> bool:
     def char(s, g) -> int:
         return -1 if sum(a * b for a, b in zip(s, g)) % 2 else 1
 
-    def convolve(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * size
+    def convolve(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * size
         for g, ca in zip(group, a):
             if not ca:
                 continue
@@ -251,31 +276,30 @@ def group_algebra_subintersection(k: int) -> bool:
 
     for s_star in group:
         # The twisted zonotope element prod_i (1 + chi*(t_i) t_i).
-        q = [Fraction(0)] * size
-        q[index[(0,) * k]] = Fraction(1)
+        q = [0] * size
+        q[index[(0,) * k]] = 1
         for e in units:
-            factor = [Fraction(0)] * size
-            factor[index[(0,) * k]] = Fraction(1)
-            factor[index[e]] = Fraction(char(s_star, e))
+            factor = [0] * size
+            factor[index[(0,) * k]] = 1
+            factor[index[e]] = char(s_star, e)
             q = convolve(q, factor)
 
-        rows = [[Fraction(char(s, g)) for g in group]
-                for s in group if s != s_star]
-        kernel = rational_nullspace(RatMatrix(rows, cols=size))
+        chars = IntMatrix([[char(s, g) for g in group]
+                           for s in group if s != s_star], cols=size)
 
         translates = []
         for g in group:
-            shifted = [Fraction(0)] * size
+            shifted = [0] * size
             for h, c in zip(group, q):
                 if c:
                     gh = tuple((x + y) % 2 for x, y in zip(g, h))
                     shifted[index[gh]] = c
             translates.append(shifted)
-        ideal = RatMatrix.from_columns(translates, rows=size)
 
-        if rational_rank(kernel) != 1 or rational_rank(ideal) != 1:
-            return False
-        if not same_column_space(kernel, ideal):
+        # With both sides lines, q (the identity translate) spans the
+        # ideal, which lies in the kernel when the characters kill q.
+        if (size - rational_rank(chars) != 1 or any(chars.mul_vector(q))
+                or rational_rank(IntMatrix(translates, cols=size)) != 1):
             return False
     return True
 

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from verolink.cli import main, poly_from_json, poly_to_json
 from verolink.link import saturated_fiber_poly, zonotope_poly
 from verolink.poly import parse_poly, render_poly
@@ -143,6 +145,31 @@ def test_size_cap_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, ["fiber", "-n", "4", "-b", "2,2,2,2"])
     assert code == 3
     assert "cap" in err
+
+
+def test_non_integer_size_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("VLAB_SIZE_CAP", "abc")
+    code, out, err = run(capsys, ["fiber", "-n", "3", "-b", "2,1,1"])
+    assert code == 2
+    assert out == ""
+    assert "VLAB_SIZE_CAP" in err
+
+
+@pytest.mark.parametrize("spec", ["123:-", "1:-", "12:", "12:+-", "12", "a2:-"])
+def test_malformed_sign_spec_is_a_usage_error(capsys, monkeypatch, spec):
+    code, out, _ = run(capsys, ["verify-link", "-n", "3", "--bound", "2",
+                                "--omit", spec])
+    assert code == 2 and out == ""
+    code, out, _ = run(capsys, ["twist", "--signs", spec],
+                       stdin="x11*x23 + x12*x13", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", ["verify-link", "verify-decomp"])
+def test_bound_without_degrees_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, [command, "-n", "3", "--bound", "-2"])
+    assert code == 2 and out == ""
+    assert "degree bound" in err
 
 
 def test_json_polynomial_round_trip(capsys):

@@ -78,6 +78,20 @@ def test_both_containments_hold_per_degree():
         assert contains_column_space(target.vectors, ideal.vectors)
 
 
+def test_equal_dimensions_with_another_span_fail(monkeypatch):
+    # The link of another character has the right dimension in every
+    # degree but a different span, so only the containment check fails it.
+    import verolink.verify as verify
+    other = SignCharacter.from_pairs(3, {(1, 2): -1})
+    real = verify.link_generators
+    monkeypatch.setattr(verify, "link_generators",
+                        lambda n, omitted: real(n, other))
+    report = verify_link(3, SignCharacter.trivial(3), 6)
+    failed = [r for r in report.records if not r.equal]
+    assert failed and not report.verdict
+    assert all(r.ideal_dim == r.target_dim for r in failed)
+
+
 def test_dimension_gap_at_most_one():
     # The subintersection piece exceeds the complete-intersection piece
     # by at most one dimension in every degree.
