@@ -144,17 +144,13 @@ def cmd_fiber(args) -> int:
     b = parse_degree(args.b)
     V = veronese_matrix(2, args.n)
     if args.classes:
-        classes = fiber_classes(V, b)
-        lines = []
-        payload = []
-        for cid, cls in enumerate(classes):
-            for m in cls:
-                lines.append(f"{cid}\t{m}")
-                payload.append({"class": cid, "monomial": str(m)})
+        rendered = [(cid, str(m)) for cid, cls in enumerate(fiber_classes(V, b))
+                    for m in cls]
+        lines = [f"{cid}\t{text}" for cid, text in rendered]
+        payload = [{"class": cid, "monomial": text} for cid, text in rendered]
     else:
-        points = enumerate_fiber(V, b)
-        lines = [str(m) for m in points]
-        payload = [{"monomial": str(m)} for m in points]
+        lines = [str(m) for m in enumerate_fiber(V, b)]
+        payload = [{"monomial": text} for text in lines]
     _emit(args, payload, lines)
     return 0
 

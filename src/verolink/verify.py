@@ -1,29 +1,30 @@
 """Degreewise exact-linear-algebra verification of the decompositions.
 
-Every check here reduces an ideal-theoretic statement to equalities of
-finite-dimensional rational subspaces, one multidegree at a time: the
+Both decomposition checks reduce to equalities of finite-dimensional
+rational subspaces, one multidegree at a time, in one degree loop: the
 graded piece of a generated ideal is spanned by monomial multiples of
 the generators, and the graded piece of an intersection of twisted
 Veronese components is the common kernel of character-weighted
 coefficient sums.  Generators are scaled to integer coefficients and
 character values are +-1, so every matrix here is an integer one.  A
 span lies in a common kernel when one exact integer product vanishes,
-and equality then follows from a dimension count, each dimension being
-one rank.
+and equality then follows from a dimension count, each one a rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
 from math import lcm
+from operator import add, or_
 
 from .errors import IndexOutOfRange, SizeMismatch
 from .exactlin import (IntMatrix, invariant_factors, kernel_lattice,
                        rational_nullspace, rational_rank)
-from .fibers import (canonical_representative, degrees_up_to, enumerate_fiber,
+from .fibers import (_raw_fiber, degrees_up_to, enumerate_fiber,
                      off_diagonal_parities)
-from .ideals import generator_lattice, higher_veronese_gens, veronese_minor_gens
+from .ideals import (generator_lattice, higher_veronese_gens,
+                     principal_minor_gens, veronese_minor_gens)
 from .link import link_generators
 from .poly import (SignCharacter, SparsePoly, all_characters,
                    in_principal_minor_ideal, multidegree)
@@ -52,6 +53,34 @@ class DegreePiece:
         return rational_rank(self.vectors)
 
 
+def _prepared(gens: list[SparsePoly], n: int) -> list[tuple]:
+    """Each generator as its multidegree and its (exps, coefficient)
+    terms, scaled to integers as in ``_cleared``."""
+    if any((g.n, g.d) != (n, 2) for g in gens):
+        raise SizeMismatch("generator over a different variable set")
+    return [(multidegree(g), [(m.exps, c) for m, c in
+                              zip(g.terms, _cleared(g.terms.values()))])
+            for g in gens]
+
+
+def _columns(prepared: list[tuple], n: int, b: tuple[int, ...],
+             fiber: list[tuple[int, ...]], cap: int | None) -> IntMatrix:
+    """The products m*g in the coordinates of the fiber of b, one column
+    each, over generators g and monomials m of the complementary degree."""
+    index = {exps: k for k, exps in enumerate(fiber)}
+    columns = []
+    for bg, terms in prepared:
+        diff = tuple(x - y for x, y in zip(b, bg))
+        if any(x < 0 for x in diff):
+            continue
+        for m in _raw_fiber(2, n, diff, cap):
+            vec = [0] * len(fiber)
+            for u, c in terms:
+                vec[index[tuple(map(add, m, u))]] += c
+            columns.append(vec)
+    return IntMatrix.from_columns(columns, rows=len(fiber))
+
+
 def ideal_degree_piece(gens: list[SparsePoly], n: int, b,
                        cap: int | None = None) -> DegreePiece:
     """Degree-b piece of the ideal generated by homogeneous polynomials.
@@ -60,42 +89,33 @@ def ideal_degree_piece(gens: list[SparsePoly], n: int, b,
     complementary degree; expressed in the fiber coordinates of b.
     """
     b = tuple(b)
-    V = veronese_matrix(2, n)
-    fiber = enumerate_fiber(V, b, cap)
-    index = {m.exps: k for k, m in enumerate(fiber)}
-    columns = []
-    for g in gens:
-        bg = multidegree(g)
-        diff = tuple(x - y for x, y in zip(b, bg))
-        if any(x < 0 for x in diff):
-            continue
-        terms = list(zip(g.terms, _cleared(list(g.terms.values()))))
-        for m in enumerate_fiber(V, diff, cap):
-            vec = [0] * len(fiber)
-            for u, c in terms:
-                vec[index[(m * u).exps]] += c
-            columns.append(vec)
-    return DegreePiece(degree=b, fiber=tuple(fiber),
-                       vectors=IntMatrix.from_columns(columns, rows=len(fiber)))
+    fiber = enumerate_fiber(veronese_matrix(2, n), b, cap)
+    vectors = _columns(_prepared(gens, n), n, b, [m.exps for m in fiber], cap)
+    return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
 
 
-def _character_rows(fiber: list[Monomial],
-                    characters: list[SignCharacter]) -> IntMatrix:
-    """The +-1 values of each character on a fiber, relative to its
-    canonical point: -1 where an odd number of the parity bits that
-    differ from that point's carry a minus sign."""
-    u0 = canonical_representative(fiber)
+def _sign_masks(characters: list[SignCharacter]) -> list[int]:
+    """Each character as a bit mask: bit k set where parity bit k of
+    ``off_diagonal_parities`` carries a minus sign."""
+    return [sum(1 << k for k, s in enumerate(eps.signs) if s < 0)
+            for eps in characters]
 
-    def mask(u: Monomial) -> int:
-        bits = off_diagonal_parities(u.exps, u0.n)
-        return sum(bit << k for k, bit in enumerate(bits))
 
-    base = mask(u0)
-    diffs = [mask(u) ^ base for u in fiber]
-    rows = []
-    for eps in characters:
-        minus = sum(1 << k for k, s in enumerate(eps.signs) if s < 0)
-        rows.append([-1 if (d & minus).bit_count() & 1 else 1 for d in diffs])
+def _character_rows(n: int, fiber: list[tuple[int, ...]],
+                    masks: list[int]) -> IntMatrix:
+    """The +-1 values of characters, given by sign masks, on a fiber of
+    exponent tuples, relative to its canonical (largest) point: -1 where
+    an odd number of the parity bits that differ from that point's carry
+    a minus sign.  Masks that agree on the bits that vary over the fiber
+    give one row, which keeps the row space."""
+    def mask(exps: tuple[int, ...]) -> int:
+        return sum(bit << k for k, bit in enumerate(off_diagonal_parities(exps, n)))
+
+    base = mask(max(fiber))
+    diffs = [mask(exps) ^ base for exps in fiber]
+    varying = reduce(or_, diffs)
+    rows = [[-1 if (d & minus).bit_count() & 1 else 1 for d in diffs]
+            for minus in sorted({m & varying for m in masks})]
     return IntMatrix(rows, cols=len(fiber))
 
 
@@ -112,7 +132,8 @@ def subintersection_degree_piece(n: int, omitted: SignCharacter, b,
     b = tuple(b)
     fiber = enumerate_fiber(veronese_matrix(2, n), b, cap)
     characters = [eps for eps in all_characters(n) if eps != omitted]
-    kernel = rational_nullspace(_character_rows(fiber, characters))
+    kernel = rational_nullspace(_character_rows(n, [m.exps for m in fiber],
+                                                _sign_masks(characters)))
     vectors = IntMatrix.from_columns([_cleared(c) for c in kernel.columns()],
                                      rows=len(fiber))
     return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
@@ -167,65 +188,58 @@ class VerificationReport:
         }
 
 
+def _check_degrees(n: int, gens: list[SparsePoly],
+                   characters: list[SignCharacter], bound: int,
+                   cap: int | None) -> tuple[DegreeRecord, ...]:
+    """Per degree up to the bound, whether the generators span the common
+    kernel of the characters: the characters annihilate the span, which
+    has the kernel's dimension.  A negative bound raises ValueError."""
+    if bound < 0:
+        raise ValueError("a negative degree bound leaves no degree to check")
+    prepared = _prepared(gens, n)
+    masks = _sign_masks(characters)
+    records = []
+    for b in degrees_up_to(n, bound):
+        fiber = _raw_fiber(2, n, b, cap)
+        cols = _columns(prepared, n, b, fiber, cap)
+        chars = _character_rows(n, fiber, masks)
+        di = rational_rank(cols)
+        dt = len(fiber) - rational_rank(chars)
+        equal = di == dt and chars.mul(cols).is_zero()
+        records.append(DegreeRecord(degree=b, fiber_size=len(fiber),
+                                    ideal_dim=di, target_dim=dt, equal=equal))
+    return tuple(records)
+
+
 def verify_link(n: int, omitted: SignCharacter, total_degree_bound: int,
                 cap: int | None = None) -> VerificationReport:
     """Check that the link generators span the subintersection.
 
     For every degree with coordinate sum up to the (even) bound, the
     span of the link generators must equal the kernel cut out by the
-    non-omitted characters: the characters annihilate the span, which
-    has the dimension of the kernel.  A negative bound raises ValueError.
+    non-omitted characters.  A negative bound raises ValueError.
     """
-    if total_degree_bound < 0:
-        raise ValueError("a negative degree bound leaves no degree to check")
     gens = link_generators(n, omitted).all_gens()
     characters = [eps for eps in all_characters(n) if eps != omitted]
-    records = []
-    for b in degrees_up_to(n, total_degree_bound):
-        ideal = ideal_degree_piece(gens, n, b, cap)
-        chars = _character_rows(list(ideal.fiber), characters)
-        di = ideal.dimension()
-        dt = len(ideal.fiber) - rational_rank(chars)
-        equal = di == dt and chars.mul(ideal.vectors).is_zero()
-        records.append(DegreeRecord(degree=tuple(b), fiber_size=len(ideal.fiber),
-                                    ideal_dim=di, target_dim=dt, equal=equal))
+    records = _check_degrees(n, gens, characters, total_degree_bound, cap)
     return VerificationReport(n=n, degree_bound=total_degree_bound, kind="link",
-                              omitted=omitted, records=tuple(records))
+                              omitted=omitted, records=records)
 
 
 def verify_decomposition(n: int, total_degree_bound: int,
                          cap: int | None = None) -> VerificationReport:
     """Check the prime decomposition degree by degree.
 
-    The common kernel of all character functionals must equal the
-    degree piece of the principal-minor ideal, computed independently as
-    the kernel of the class-sum map.  The kernels agree when their row
-    spaces do, as ranks decide.  A negative bound raises ValueError.
+    The principal-minor ideal J_n is the intersection of the twisted
+    Veronese components: in every degree up to the bound, the span of
+    the principal 2-minors must equal the common kernel of all character
+    functionals.  A negative bound raises ValueError.
     """
-    if total_degree_bound < 0:
-        raise ValueError("a negative degree bound leaves no degree to check")
-    V = veronese_matrix(2, n)
-    characters = all_characters(n)
-    records = []
-    for b in degrees_up_to(n, total_degree_bound):
-        fiber = enumerate_fiber(V, b, cap)
-        chars = _character_rows(fiber, characters)
-        class_rows: dict[tuple[int, ...], list[int]] = {}
-        for k, u in enumerate(fiber):
-            key = off_diagonal_parities(u.exps, n)
-            class_rows.setdefault(key, [0] * len(fiber))[k] = 1
-        rank_chars = rational_rank(chars)
-        rank_both = rational_rank(IntMatrix(chars.data + list(class_rows.values()),
-                                            cols=len(fiber)))
-        # Class rows have disjoint nonempty supports: their rank is their count.
-        di = len(fiber) - len(class_rows)
-        dt = len(fiber) - rank_chars
-        equal = di == dt and rank_both == rank_chars
-        records.append(DegreeRecord(degree=tuple(b), fiber_size=len(fiber),
-                                    ideal_dim=di, target_dim=dt, equal=equal))
+    records = _check_degrees(n, principal_minor_gens(n), all_characters(n),
+                             total_degree_bound, cap)
     return VerificationReport(n=n, degree_bound=total_degree_bound,
                               kind="decomposition", omitted=None,
-                              records=tuple(records))
+                              records=records)
 
 
 def colon_membership(f: SparsePoly, n: int) -> bool:
@@ -251,55 +265,41 @@ def group_algebra_subintersection(k: int) -> bool:
     """
     if not 1 <= k <= 8:
         raise IndexOutOfRange("need 1 <= k <= 8")
-    group = list(product((0, 1), repeat=k))
-    index = {g: pos for pos, g in enumerate(group)}
-    size = len(group)
+    # Group elements are k-bit ints, coordinate i in bit k-1-i: the
+    # product is XOR and the order is that of the coordinate tuples.
+    size = 1 << k
 
-    def char(s, g) -> int:
-        return -1 if sum(a * b for a, b in zip(s, g)) % 2 else 1
+    def char(s: int, g: int) -> int:
+        return -1 if (s & g).bit_count() & 1 else 1
 
     def convolve(a: list[int], b: list[int]) -> list[int]:
         out = [0] * size
-        for g, ca in zip(group, a):
+        for g, ca in enumerate(a):
             if not ca:
                 continue
-            for h, cb in zip(group, b):
+            for h, cb in enumerate(b):
                 if cb:
-                    gh = tuple((x + y) % 2 for x, y in zip(g, h))
-                    out[index[gh]] += ca * cb
+                    out[g ^ h] += ca * cb
         return out
 
-    units = []
-    for i in range(k):
-        e = tuple(1 if j == i else 0 for j in range(k))
-        units.append(e)
-
-    for s_star in group:
+    for s_star in range(size):
         # The twisted zonotope element prod_i (1 + chi*(t_i) t_i).
-        q = [0] * size
-        q[index[(0,) * k]] = 1
-        for e in units:
+        q = [1] + [0] * (size - 1)
+        for i in range(k):
+            e = 1 << i
             factor = [0] * size
-            factor[index[(0,) * k]] = 1
-            factor[index[e]] = char(s_star, e)
+            factor[0], factor[e] = 1, char(s_star, e)
             q = convolve(q, factor)
 
-        chars = IntMatrix([[char(s, g) for g in group]
-                           for s in group if s != s_star], cols=size)
-
-        translates = []
-        for g in group:
-            shifted = [0] * size
-            for h, c in zip(group, q):
-                if c:
-                    gh = tuple((x + y) % 2 for x, y in zip(g, h))
-                    shifted[index[gh]] = c
-            translates.append(shifted)
+        chars = IntMatrix([[char(s, g) for g in range(size)]
+                           for s in range(size) if s != s_star], cols=size)
+        translates = IntMatrix([[q[g ^ h] for h in range(size)]
+                                for g in range(size)], cols=size)
 
         # With both sides lines, q (the identity translate) spans the
         # ideal, which lies in the kernel when the characters kill q.
         if (size - rational_rank(chars) != 1 or any(chars.mul_vector(q))
-                or rational_rank(IntMatrix(translates, cols=size)) != 1):
+                or rational_rank(translates) != 1):
             return False
     return True
 

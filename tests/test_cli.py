@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import verolink
 from verolink.cli import main, poly_from_json, poly_to_json
 from verolink.link import saturated_fiber_poly, zonotope_poly
 from verolink.poly import parse_poly, render_poly
@@ -202,3 +208,26 @@ def test_text_output_reparses(capsys):
     code, out, _ = run(capsys, ["pn", "-n", "4"])
     assert parse_poly(out, n=4) == zonotope_poly(4)
     assert render_poly(parse_poly(out, n=4)) == out.strip()
+
+# SHA-256 of the stdout of ``python -m verolink.cli ARGS``, pinned so
+# that a change to the verification route cannot change a record stream.
+RECORD_STREAM_DIGESTS = {
+    "verify-decomp --json -n 4 --bound 10":
+        "e6b69ef7c561872bd2e44500ffd48859fe9ae33326c1365fa64d1a65b1709d3d",
+    "verify-link --json -n 3 --bound 8 --omit 12:-":
+        "60aa8aa9b087ab51948fe9018e13fbffb20d4a3912b7b99037e67e70fb3a5990",
+    "verify-decomp -n 5 --bound 6":
+        "32e47c4fd33439c24f8afecb1525a319a507fb640061a2548259e0c9058cdbe0",
+    "verify-link -n 4 --bound 8 --omit 13:-":
+        "741a2de02d15c92a1f37ec733036295997738f80109bcde8c286ca9045cc4d70",
+}
+
+
+@pytest.mark.parametrize("args", sorted(RECORD_STREAM_DIGESTS))
+def test_record_stream_digest(args):
+    src = str(Path(verolink.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "verolink.cli", *args.split()],
+                          capture_output=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert hashlib.sha256(done.stdout).hexdigest() == RECORD_STREAM_DIGESTS[args]

@@ -1,8 +1,10 @@
-"""Differential tests of the elimination kernel against sympy.
+"""Differential tests of the elimination kernel and the integer normal
+forms against sympy.
 
 Every rank, nullspace, reduced echelon form and rational solve in
 ``exactlin`` runs on the one fraction-free kernel; sympy's exact
-rational matrices are the independent reference.
+rational matrices are the independent reference.  Hermite and Smith
+forms are checked against ``sympy.matrices.normalforms``.
 """
 
 import random
@@ -12,8 +14,13 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from verolink.exactlin import (IntMatrix, RatMatrix, rational_nullspace,  # noqa: E402
-                               rational_rank, rational_rref, solve_rational)
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa: E402
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+
+from verolink.exactlin import (IntMatrix, RatMatrix, hermite_normal_form,  # noqa: E402
+                               rational_nullspace, rational_rank,
+                               rational_rref, smith_normal_form,
+                               solve_rational)
 
 SEEDS = range(30)
 
@@ -136,3 +143,35 @@ def test_solve_refuses_an_inconsistent_system(seed, fractional):
             break
     with pytest.raises(ValueError, match="inconsistent system"):
         solve_rational(A, B)
+
+
+def lattice_matrix(seed):
+    """Random integer matrix up to 5x5, rank deficient about half the time."""
+    rng = random.Random(4000 + seed)
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    rank = rng.choice([None, rng.randint(1, min(rows, cols))])
+    return random_matrix(rng, rows, cols, False, rank)
+
+
+def reversed_rows(rows):
+    """Rows and columns both in reverse order."""
+    return [row[::-1] for row in rows[::-1]]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_smith_factors_match_sympy(seed):
+    M = lattice_matrix(seed)
+    ours = smith_normal_form(M).invariant_factors
+    theirs = invariant_factors(sympy.Matrix(M.data), domain=sympy.ZZ)
+    assert ours == [abs(int(x)) for x in theirs if x != 0]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_hermite_form_matches_sympy(seed):
+    # sympy's form is column-style with pivots at the bottom right; on
+    # the reversed transpose it is this module's row-style form, reversed.
+    M = lattice_matrix(seed)
+    H, _ = hermite_normal_form(M)
+    theirs = sympy_hnf(sympy.Matrix(reversed_rows(M.data)).T).T
+    assert [row for row in H.data if any(row)] == reversed_rows(
+        [[int(x) for x in theirs.row(i)] for i in range(theirs.rows)])

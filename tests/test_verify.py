@@ -112,6 +112,33 @@ def test_verify_decomposition(n):
     assert report.verdict
 
 
+def test_decomposition_without_one_minor_fails(monkeypatch):
+    # Dropping x11*x22 - x12^2 leaves a span too small in its degree, so
+    # the check of J_n against every character must fail there.
+    import verolink.verify as verify
+    real = verify.principal_minor_gens
+    monkeypatch.setattr(verify, "principal_minor_gens", lambda n: real(n)[1:])
+    report = verify_decomposition(3, 6)
+    failed = [r for r in report.records if not r.equal]
+    assert failed and not report.verdict
+    first = failed[0]
+    assert (first.degree, first.ideal_dim, first.target_dim) == ((2, 2, 0), 0, 1)
+
+
+def test_generator_degrees_are_read_once_per_check(monkeypatch):
+    import verolink.verify as verify
+    calls = []
+    real = verify.multidegree
+    monkeypatch.setattr(verify, "multidegree",
+                        lambda g: calls.append(g) or real(g))
+    verify_decomposition(3, 8)
+    assert len(calls) == len(principal_minor_gens(3))
+    calls.clear()
+    omitted = SignCharacter.trivial(3)
+    verify_link(3, omitted, 8)
+    assert len(calls) == len(link_generators(3, omitted).all_gens())
+
+
 def test_verify_decomposition_bound_zero():
     report = verify_decomposition(3, 0)
     assert report.verdict
