@@ -56,10 +56,6 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> "IntMatrix":
         columns = [list(c) for c in columns]
         if columns:

@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotOdd, SizeMismatch
-from .fibers import (canonical_representative, fiber_classes,
-                     minimal_saturated_fibers)
+from .fibers import _raw_fiber, minimal_saturated_fibers, off_diagonal_parities
 from .ideals import principal_minor_gens
 from .poly import (SignCharacter, SparsePoly, normal_form, twist,
                    twisting_from_character)
-from .veronese import Monomial, pair_count, veronese_matrix
+from .veronese import Monomial, pair_count
 
 
 def zonotope_poly(n: int) -> SparsePoly:
@@ -70,11 +69,10 @@ def saturated_fiber_poly(n: int, i: int, cap: int | None = None) -> SparsePoly:
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"index {i} outside [1, {n}]")
         b = degrees[i - 1]
-    V = veronese_matrix(2, n)
-    terms = {}
-    for cls in fiber_classes(V, b, cap):
-        terms[canonical_representative(cls)] = 1
-    return SparsePoly(n, terms)
+    # The raw fiber comes out ascending, so the last point kept per
+    # parity key is the class's largest exponent tuple.
+    canonical = {off_diagonal_parities(e, n): e for e in _raw_fiber(2, n, b, cap)}
+    return SparsePoly(n, {Monomial(n, e): 1 for e in canonical.values()})
 
 
 def check_saturation_identity(n: int) -> bool:

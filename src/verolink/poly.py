@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .errors import (DegreeMismatch, Inhomogeneous, SizeMismatch,
                      ZeroPolynomial)
@@ -72,11 +73,7 @@ class SparsePoly:
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + c
         return SparsePoly(self.n, out, self.d)
 
     def __neg__(self) -> "SparsePoly":
@@ -91,11 +88,7 @@ class SparsePoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out[m] = out.get(m, 0) + c1 * c2
         return SparsePoly(self.n, out, self.d)
 
     def scale(self, c) -> "SparsePoly":
@@ -317,33 +310,38 @@ class ClassVector:
         return self.degree == other.degree and self.coefficients == other.coefficients
 
 
+def _class_sums(p: SparsePoly) -> dict[FiberClassKey, Fraction]:
+    """Coefficient sums of p per (degree, class) key, zero sums dropped.
+
+    One pass over the terms, one ``class_key`` per term; the key carries
+    the degree, so p need not be homogeneous.
+    """
+    sums: dict[FiberClassKey, Fraction] = {}
+    for m, c in p.terms.items():
+        key = class_key(m)
+        sums[key] = sums.get(key, 0) + c
+    return {key: s for key, s in sums.items() if s}
+
+
 def normal_form(p: SparsePoly) -> ClassVector:
     """Class-wise coefficient sums of a homogeneous polynomial.
 
-    The polynomial lies in the principal-minor ideal exactly when every
+    These class sums are the one reader behind both membership tests:
+    the polynomial lies in the principal-minor ideal exactly when every
     sum vanishes.
     """
     if p.is_zero():
         return ClassVector(degree=None, coefficients={})
-    b = multidegree(p)
-    sums: dict[FiberClassKey, Fraction] = {}
-    for m, c in p.terms.items():
-        key = class_key(m)
-        s = sums.get(key, Fraction(0)) + c
-        if s:
-            sums[key] = s
-        else:
-            sums.pop(key, None)
-    return ClassVector(degree=b, coefficients=sums)
+    return ClassVector(degree=multidegree(p), coefficients=_class_sums(p))
 
 
 def in_principal_minor_ideal(p: SparsePoly) -> bool:
     """Membership in the principal-minor ideal, any polynomial.
 
-    The ideal is graded, so membership is checked degree by degree.
+    The ideal is graded and its class keys carry the degree, so p is a
+    member exactly when all of its class sums vanish.
     """
-    return all(normal_form(part).is_zero()
-               for part in degree_split(p).values())
+    return not _class_sums(p)
 
 
 def in_twisted_veronese(p: SparsePoly, eps: SignCharacter) -> bool:
@@ -351,21 +349,18 @@ def in_twisted_veronese(p: SparsePoly, eps: SignCharacter) -> bool:
 
     Per multidegree, the quotient by the (twisted) Veronese ideal is
     one-dimensional, so the degree piece of the component is the kernel
-    of a single character-weighted coefficient sum.  The basepoint is
-    the dictionary-least monomial of the support; the vanishing of the
-    sum does not depend on that choice.
+    of a single character-weighted coefficient sum.  Eps is constant on
+    each class, so that sum is the total of the class sums, each signed
+    by eps on its class parities; no basepoint is needed, because
+    changing it multiplies a degree's total by +-1.
     """
     if p.n != eps.n:
         raise SizeMismatch("character over a different variable set")
-    for part in degree_split(p).values():
-        support = sorted(part.terms, key=lambda m: m.exps, reverse=True)
-        u0 = support[0]
-        total = Fraction(0)
-        for m in support:
-            total += part.terms[m] * character_value(eps, m, u0)
-        if total:
-            return False
-    return True
+    totals: dict[tuple[int, ...], Fraction] = {}
+    for key, s in _class_sums(p).items():
+        sign = prod(e for e, bit in zip(eps.signs, key.parities) if bit)
+        totals[key.degree] = totals.get(key.degree, 0) + sign * s
+    return not any(totals.values())
 
 
 # -- text grammar -------------------------------------------------------

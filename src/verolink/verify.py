@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import lcm
-from operator import add, or_
+from operator import add, ge, or_, sub
 
 from .errors import IndexOutOfRange, SizeMismatch
 from .exactlin import (IntMatrix, invariant_factors, kernel_lattice,
@@ -54,30 +54,36 @@ class DegreePiece:
 
 
 def _prepared(gens: list[SparsePoly], n: int) -> list[tuple]:
-    """Each generator as its multidegree and its (exps, coefficient)
-    terms, scaled to integers as in ``_cleared``."""
+    """Each generator as a base term u0 and its terms as (exps - u0,
+    coefficient) pairs, scaled to integers as in ``_cleared``.
+    ``multidegree`` rejects an inhomogeneous generator."""
     if any((g.n, g.d) != (n, 2) for g in gens):
         raise SizeMismatch("generator over a different variable set")
-    return [(multidegree(g), [(m.exps, c) for m, c in
-                              zip(g.terms, _cleared(g.terms.values()))])
-            for g in gens]
+    prepared = []
+    for g in gens:
+        multidegree(g)
+        u0 = next(iter(g.terms)).exps
+        prepared.append((u0, [(tuple(map(sub, m.exps, u0)), c) for m, c in
+                              zip(g.terms, _cleared(g.terms.values()))]))
+    return prepared
 
 
-def _columns(prepared: list[tuple], n: int, b: tuple[int, ...],
-             fiber: list[tuple[int, ...]], cap: int | None) -> IntMatrix:
-    """The products m*g in the coordinates of the fiber of b, one column
-    each, over generators g and monomials m of the complementary degree."""
+def _columns(prepared: list[tuple], fiber: list[tuple[int, ...]]) -> IntMatrix:
+    """The products m*g in the coordinates of a fiber, one column each,
+    over generators g and monomials m of the complementary degree.
+
+    Those m are the points p - u0 of the fiber with p >= u0, for the
+    base term u0 of g; translation keeps the lexicographic order, and
+    the term u of m*g is the point p + (u - u0)."""
     index = {exps: k for k, exps in enumerate(fiber)}
     columns = []
-    for bg, terms in prepared:
-        diff = tuple(x - y for x, y in zip(b, bg))
-        if any(x < 0 for x in diff):
-            continue
-        for m in _raw_fiber(2, n, diff, cap):
-            vec = [0] * len(fiber)
-            for u, c in terms:
-                vec[index[tuple(map(add, m, u))]] += c
-            columns.append(vec)
+    for u0, offsets in prepared:
+        for p in fiber:
+            if all(map(ge, p, u0)):
+                vec = [0] * len(fiber)
+                for du, c in offsets:
+                    vec[index[tuple(map(add, p, du))]] += c
+                columns.append(vec)
     return IntMatrix.from_columns(columns, rows=len(fiber))
 
 
@@ -90,7 +96,7 @@ def ideal_degree_piece(gens: list[SparsePoly], n: int, b,
     """
     b = tuple(b)
     fiber = enumerate_fiber(veronese_matrix(2, n), b, cap)
-    vectors = _columns(_prepared(gens, n), n, b, [m.exps for m in fiber], cap)
+    vectors = _columns(_prepared(gens, n), [m.exps for m in fiber])
     return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
 
 
@@ -201,7 +207,7 @@ def _check_degrees(n: int, gens: list[SparsePoly],
     records = []
     for b in degrees_up_to(n, bound):
         fiber = _raw_fiber(2, n, b, cap)
-        cols = _columns(prepared, n, b, fiber, cap)
+        cols = _columns(prepared, fiber)
         chars = _character_rows(n, fiber, masks)
         di = rational_rank(cols)
         dt = len(fiber) - rational_rank(chars)

@@ -220,6 +220,12 @@ RECORD_STREAM_DIGESTS = {
         "32e47c4fd33439c24f8afecb1525a319a507fb640061a2548259e0c9058cdbe0",
     "verify-link -n 4 --bound 8 --omit 13:-":
         "741a2de02d15c92a1f37ec733036295997738f80109bcde8c286ca9045cc4d70",
+    "pplus -n 6 -i 1":
+        "04d4ac25e9daeb0b366a60c85e3bdfa92a488da78c29ee9e0c964488e3768380",
+    "pplus --json -n 5 -i 2":
+        "ebb04058f345213d2235d671c44466be61bfc3a24313fe89f64847f49379dabf",
+    "pplus -n 3 -i 1":
+        "b446844f375f6125379c6bd24e1c9559a91c4735293d970beafcb36c25b7fb86",
 }
 
 

@@ -77,6 +77,18 @@ def test_fiber_poly_index_errors():
         saturated_fiber_poly(3, 4)
 
 
+@pytest.mark.parametrize("n,i", [(3, 1), (3, 2), (3, 3), (4, 1),
+                                 (5, 1), (5, 3), (5, 5)])
+def test_fiber_poly_keeps_the_canonical_member_of_each_class(n, i):
+    from verolink.fibers import (canonical_representative, fiber_classes,
+                                 minimal_saturated_fibers)
+    from verolink.veronese import veronese_matrix
+    b = minimal_saturated_fibers(n)[i - 1]
+    classes = fiber_classes(veronese_matrix(2, n), b)
+    expected = SparsePoly(n, {canonical_representative(c): 1 for c in classes})
+    assert saturated_fiber_poly(n, i) == expected
+
+
 def test_fiber_poly_reps_come_from_distinct_classes():
     from verolink.fibers import class_key
     p = saturated_fiber_poly(4, 1)

@@ -268,6 +268,73 @@ def test_basepoint_independence_of_membership():
         assert total == 0
 
 
+def _random_multiplier(rng, n, size):
+    exponents = {}
+    for _ in range(size):
+        key = tuple(sorted((rng.randint(1, n), rng.randint(1, n))))
+        exponents[key] = exponents.get(key, 0) + 1
+    return Monomial.from_pairs(n, exponents)
+
+
+def _membership_samples(seed, count):
+    """Seeded random polynomials of mixed degrees and rational coefficients:
+    combinations of principal minors, or of the Veronese minors of one
+    twisted component, some with a stray monomial added."""
+    from verolink.ideals import principal_minor_gens, veronese_minor_gens
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.choice((3, 4))
+        if k % 2:
+            gens = principal_minor_gens(n)
+        else:
+            phi = twisting_from_character(rng.choice(all_characters(n)))
+            gens = [twist(g, phi) for g in veronese_minor_gens(n)]
+        p = SparsePoly.zero(n)
+        for g in rng.sample(gens, 3):
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            p = p + SparsePoly.monomial(
+                _random_multiplier(rng, n, rng.randint(0, 2)), c) * g
+        if rng.random() < 0.3:
+            p = p + SparsePoly.monomial(
+                _random_multiplier(rng, n, rng.randint(1, 3)))
+        yield p
+
+
+def _reference_in_principal_minor_ideal(p):
+    return all(normal_form(q).is_zero() for q in degree_split(p).values())
+
+
+def _reference_in_twisted_veronese(p, eps):
+    # Per degree, the character sum relative to the lexmax term.
+    for q in degree_split(p).values():
+        u0 = max(q.terms, key=lambda m: m.exps)
+        if sum(c * character_value(eps, m, u0) for m, c in q.terms.items()):
+            return False
+    return True
+
+
+def test_class_sum_membership_matches_the_pointwise_route():
+    jn_members = component_members = checks = 0
+    for p in _membership_samples(11, 120):
+        verdict = in_principal_minor_ideal(p)
+        assert verdict == _reference_in_principal_minor_ideal(p)
+        jn_members += verdict
+        for eps in all_characters(p.n):
+            verdict = in_twisted_veronese(p, eps)
+            assert verdict == _reference_in_twisted_veronese(p, eps)
+            component_members += verdict
+            checks += 1
+    # Both routes meet members and non-members of each kind.
+    assert 0 < jn_members < 120
+    assert 0 < component_members < checks
+
+
+def test_product_keeps_only_nonzero_terms():
+    p = parse_poly("x11 + x22", n=2) * parse_poly("x11 - x22", n=2)
+    assert render_poly(p) == "x11*x11 - x22*x22"
+    assert all(p.terms.values())
+
+
 # -- text grammar --------------------------------------------------------------
 
 def test_render_goldens():

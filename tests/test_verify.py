@@ -139,6 +139,17 @@ def test_generator_degrees_are_read_once_per_check(monkeypatch):
     assert len(calls) == len(link_generators(3, omitted).all_gens())
 
 
+def test_fiber_is_enumerated_once_per_degree(monkeypatch):
+    import verolink.verify as verify
+    calls = []
+    real = verify._raw_fiber
+    monkeypatch.setattr(verify, "_raw_fiber",
+                        lambda *a: calls.append(a[2]) or real(*a))
+    report = verify_link(3, SignCharacter.trivial(3), 6)
+    assert report.verdict
+    assert calls == [r.degree for r in report.records]
+
+
 def test_verify_decomposition_bound_zero():
     report = verify_decomposition(3, 0)
     assert report.verdict
