@@ -42,15 +42,15 @@ def poly_from_json(data, n: int | None = None) -> SparsePoly:
     indices = [int(ch) for term in data for key in term["exp"] for ch in key]
     if n is None:
         n = max(indices, default=2)
-    result = SparsePoly.zero(n)
+    terms: dict[Monomial, Fraction] = {}
     for term in data:
         exponents = {}
         for key, e in term["exp"].items():
             i, j = int(key[0]), int(key[1])
             exponents[pair(i, j)] = exponents.get(pair(i, j), 0) + e
         m = Monomial.from_pairs(n, exponents)
-        result = result + SparsePoly.monomial(m, Fraction(term["coeff"]))
-    return result
+        terms[m] = terms.get(m, 0) + Fraction(term["coeff"])
+    return SparsePoly(n, terms)
 
 
 # -- spec parsing -------------------------------------------------------

@@ -13,8 +13,9 @@ results instead of trusting them:
 
 Conventions are fixed so outputs are bit-stable: row-style Hermite form
 with positive pivots and entries above a pivot reduced into
-``[0, pivot)``; Smith pivots are chosen with minimal absolute value to
-limit intermediate entry growth.
+``[0, pivot)``.  The Hermite form is the one lattice routine: the Smith
+form alternates row and column Hermite forms until the matrix is
+diagonal, and lattice coordinates are read off Hermite basis rows.
 """
 
 from __future__ import annotations
@@ -31,12 +32,21 @@ class IntMatrix:
 
     Entries are plain Python ints, so there are no overflow semantics.
     Instances are treated as immutable by every function in this module.
+    A result built from an IntMatrix and a RatMatrix is a RatMatrix.
     """
 
     __slots__ = ("rows", "cols", "data")
 
+    @staticmethod
+    def _row(row) -> list[int]:
+        row = list(row)
+        for x in row:
+            if not isinstance(x, int):
+                raise TypeError(f"integer entry expected, got {x!r}")
+        return row
+
     def __init__(self, data, cols=None):
-        data = [list(row) for row in data]
+        data = [self._row(row) for row in data]
         if data:
             cols = len(data[0])
         elif cols is None:
@@ -44,12 +54,13 @@ class IntMatrix:
         for row in data:
             if len(row) != cols:
                 raise ValueError("ragged rows")
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError(f"integer entry expected, got {x!r}")
         self.rows = len(data)
         self.cols = cols
         self.data = data
+
+    def _joined(self, other: "IntMatrix") -> type:
+        """The class of a result built from self and other."""
+        return type(other) if isinstance(other, type(self)) else type(self)
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
@@ -71,21 +82,21 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)], cols=self.rows)
+        return type(self)([[self.data[i][j] for i in range(self.rows)]
+                           for j in range(self.cols)], cols=self.rows)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise SizeMismatch("row counts differ")
-        return IntMatrix([self.data[i] + other.data[i] for i in range(self.rows)],
-                         cols=self.cols + other.cols)
+        return self._joined(other)([self.data[i] + other.data[i] for i in range(self.rows)],
+                                   cols=self.cols + other.cols)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise SizeMismatch("inner dimensions differ")
         ot = other.transpose().data
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                          for row in self.data], cols=other.cols)
+        return self._joined(other)([[sum(a * b for a, b in zip(row, col)) for col in ot]
+                                    for row in self.data], cols=other.cols)
 
     __matmul__ = mul
 
@@ -101,77 +112,28 @@ class IntMatrix:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
     def to_rational(self) -> "RatMatrix":
-        return RatMatrix([[Fraction(x) for x in row] for row in self.data],
-                         cols=self.cols)
+        return RatMatrix(self.data, cols=self.cols)
 
     def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
+        return (type(other) is type(self) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
-        return f"IntMatrix({self.rows}x{self.cols}: {body})"
+        return f"{type(self).__name__}({self.rows}x{self.cols}: {body})"
 
 
-class RatMatrix:
-    """Dense matrix over exact rationals (reduced fractions)."""
+class RatMatrix(IntMatrix):
+    """Dense matrix over exact rationals (reduced fractions).
 
-    __slots__ = ("rows", "cols", "data")
+    Only the entry coercion differs from IntMatrix.
+    """
 
-    def __init__(self, data, cols=None):
-        data = [[Fraction(x) for x in row] for row in data]
-        if data:
-            cols = len(data[0])
-        elif cols is None:
-            cols = 0
-        for row in data:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-        self.rows = len(data)
-        self.cols = cols
-        self.data = data
+    __slots__ = ()
 
-    @classmethod
-    def from_columns(cls, columns, rows: int | None = None) -> "RatMatrix":
-        columns = [list(c) for c in columns]
-        if columns:
-            rows = len(columns[0])
-        elif rows is None:
-            raise ValueError("row count needed for an empty column list")
-        return cls([[columns[j][i] for j in range(len(columns))] for i in range(rows)],
-                   cols=len(columns))
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.data)
-
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise SizeMismatch("row counts differ")
-        return RatMatrix([self.data[i] + other.data[i] for i in range(self.rows)],
-                         cols=self.cols + other.cols)
-
-    def mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise SizeMismatch("inner dimensions differ")
-        ot = [[other.data[i][j] for i in range(other.rows)] for j in range(other.cols)]
-        return RatMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                          for row in self.data], cols=other.cols)
-
-    __matmul__ = mul
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
-    def __eq__(self, other):
-        return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
-        return f"RatMatrix({self.rows}x{self.cols}: {body})"
+    @staticmethod
+    def _row(row) -> list[Fraction]:
+        return [Fraction(x) for x in row]
 
 
 @dataclass(frozen=True)
@@ -253,100 +215,60 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(H, cols=cols), IntMatrix(U, cols=rows)
 
 
+def _hermite_carrying(A: IntMatrix, T: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Hermite form of A, and T with the same row operations applied.
+
+    T rides to the right of A in one ``hermite_normal_form`` call.  A's
+    columns come first, so its part of the result is the Hermite form of
+    A; the later pivots in T's columns only combine rows that are zero
+    on A.  So the second matrix is V @ T for a unimodular V with
+    V @ A equal to the first, and a transform composes without a
+    matrix product.
+    """
+    H, _ = hermite_normal_form(A.hstack(T))
+    return (IntMatrix([row[:A.cols] for row in H.data], cols=A.cols),
+            IntMatrix([row[A.cols:] for row in H.data], cols=T.cols))
+
+
 def smith_normal_form(M: IntMatrix) -> SnfResult:
     """Smith normal form with both transforms.
 
     The diagonal entries of S are the invariant factors of the cokernel
-    of M (ones included, zeros trailing).
+    of M (ones included, zeros trailing).  Row and column Hermite forms
+    alternate until the matrix is diagonal (Kannan and Bachem 1979):
+    each round either strictly lowers a leading pivot to a proper
+    divisor or leaves its row and column clear for good.  A row Hermite
+    form puts the nonzero diagonal entries first, and 2x2 gcd/lcm steps
+    then turn them into a divisibility chain.
     """
-    A = [row[:] for row in M.data]
-    rows, cols = M.rows, M.cols
-    U = IntMatrix.identity(rows).data
-    W = IntMatrix.identity(cols).data
+    A, U = hermite_normal_form(M)
+    W = IntMatrix.identity(M.cols)
+    while any(x for i, row in enumerate(A.data) for j, x in enumerate(row) if i != j):
+        At, Wt = _hermite_carrying(A.transpose(), W.transpose())
+        A, U = _hermite_carrying(At.transpose(), U)
+        W = Wt.transpose()
 
-    def row_sub(i, k, q):
-        if q:
-            for j in range(cols):
-                A[i][j] -= q * A[k][j]
-            for j in range(rows):
-                U[i][j] -= q * U[k][j]
-
-    def col_sub(j, k, q):
-        if q:
-            for i in range(rows):
-                A[i][j] -= q * A[i][k]
-            for i in range(cols):
-                W[i][j] -= q * W[i][k]
-
-    def row_swap(i, k):
-        if i != k:
-            A[i], A[k] = A[k], A[i]
-            U[i], U[k] = U[k], U[i]
-
-    def col_swap(j, k):
-        if j != k:
-            for row in A:
-                row[j], row[k] = row[k], row[j]
+    S, U, W = A.data, U.data, W.data
+    rank = sum(1 for x in A.diagonal() if x)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            a, b = S[i][i], S[j][j]
+            if b % a == 0:
+                continue
+            # [[s, t], [-b/g, a/g]] @ diag(a, b) @ [[1, -t*b/g], [1, s*a/g]]
+            # is diag(g, lcm), with both factors of determinant one.
+            g = gcd(a, b)
+            x, y = b // g, a // g
+            s = pow(y, -1, x)
+            t = (g - s * a) // b
+            U[i], U[j] = ([s * p + t * q for p, q in zip(U[i], U[j])],
+                          [y * q - x * p for p, q in zip(U[i], U[j])])
             for row in W:
-                row[j], row[k] = row[k], row[j]
+                row[i], row[j] = row[i] + row[j], s * y * row[j] - t * x * row[i]
+            S[i][i], S[j][j] = g, a * x
 
-    def row_negate(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    for t in range(min(rows, cols)):
-        # Locate a pivot of minimal magnitude in the trailing block.
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = A[i][j]
-                if v != 0 and (pivot is None or abs(v) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-
-        while True:
-            # Clear the pivot column and row; a nonzero remainder becomes
-            # the new, strictly smaller pivot.
-            restart = False
-            for i in range(t + 1, rows):
-                if A[i][t]:
-                    row_sub(i, t, A[i][t] // A[t][t])
-                    if A[i][t]:
-                        row_swap(t, i)
-                        restart = True
-            if restart:
-                continue
-            for j in range(t + 1, cols):
-                if A[t][j]:
-                    col_sub(j, t, A[t][j] // A[t][t])
-                    if A[t][j]:
-                        col_swap(t, j)
-                        restart = True
-            if restart:
-                continue
-            # Enforce divisibility: fold in any row holding an entry the
-            # pivot does not divide, then keep reducing.
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if A[i][j] % A[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_sub(t, offender, -1)
-
-    for t in range(min(rows, cols)):
-        if A[t][t] < 0:
-            row_negate(t)
-
-    return SnfResult(U=IntMatrix(U, cols=rows), S=IntMatrix(A, cols=cols),
-                     W=IntMatrix(W, cols=cols))
+    return SnfResult(U=IntMatrix(U, cols=M.rows), S=IntMatrix(S, cols=M.cols),
+                     W=IntMatrix(W, cols=M.cols))
 
 
 def det(M: IntMatrix) -> int:
@@ -426,23 +348,31 @@ def invariant_factors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
     Both arguments hold lattice generating sets as columns.  ``sub``
     must generate a finite-index sublattice of the lattice generated by
     ``ambient``; the factors are read off the Smith normal form of the
-    coordinates of ``sub`` in an ambient basis, sorted ascending.
+    coordinates of ``sub`` in an ambient basis, sorted ascending.  The
+    basis is a Hermite form, so each coordinate is an exact division at
+    its pivot; a remainder, or anything left over once every basis
+    vector is taken off, raises ValueError.
     """
     basis = column_lattice_basis(ambient)
     if sub.cols == 0:
         if basis.cols == 0:
             return []
         raise IndexNotFinite("empty sublattice in a positive-rank lattice")
-    coords = solve_rational(basis, sub)
-    int_coords = []
-    for row in coords.data:
-        out = []
-        for x in row:
-            if x.denominator != 1:
+    pivoted = [(next(i for i, x in enumerate(b) if x), b) for b in basis.columns()]
+    coords = []
+    for v in sub.columns():
+        coord = []
+        for p, b in pivoted:
+            q, r = divmod(v[p], b[p])
+            if r:
                 raise ValueError("columns of sub do not lie in the ambient lattice")
-            out.append(x.numerator)
-        int_coords.append(out)
-    snf = smith_normal_form(IntMatrix(int_coords, cols=sub.cols))
+            coord.append(q)
+            if q:
+                v = [x - q * y for x, y in zip(v, b)]
+        if any(v):
+            raise ValueError("columns of sub do not lie in the span of ambient")
+        coords.append(coord)
+    snf = smith_normal_form(IntMatrix.from_columns(coords, rows=basis.cols))
     factors = snf.invariant_factors
     if len(factors) < basis.cols:
         raise IndexNotFinite("sublattice has lower rank than the ambient lattice")
@@ -498,7 +428,7 @@ def _as_int_rows(M: IntMatrix | RatMatrix) -> list[list[int]]:
     IntMatrix rows are copied as they are; rational rows are scaled by
     the lcm of their denominators (row scaling preserves the row space).
     """
-    if isinstance(M, IntMatrix):
+    if not isinstance(M, RatMatrix):
         return [row[:] for row in M.data]
     out = []
     for row in M.data:

@@ -375,12 +375,12 @@ def render_poly(p: SparsePoly) -> str:
     pieces = []
     for k, (m, c) in enumerate(p.sorted_terms()):
         mag = abs(c)
-        body = []
-        if mag != 1 or m.is_one():
-            body.append(str(mag))
-        for ms, e in m.support():
-            body.extend(["x" + "".join(str(i) for i in ms)] * e)
-        text = "*".join(body)
+        if m.is_one():
+            text = str(mag)
+        elif mag == 1:
+            text = str(m)
+        else:
+            text = f"{mag}*{m}"
         if k == 0:
             pieces.append(text if c > 0 else "-" + text)
         else:
@@ -457,15 +457,14 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
     elif max_index > n:
         raise SizeMismatch(f"variable index {max_index} exceeds n={n}")
 
-    result = SparsePoly.zero(n)
+    terms: dict[Monomial, Fraction] = {}
     for s, c, vs in raw_terms:
-        c = Fraction(1) if c is None else c
         exponents: dict[tuple[int, int], int] = {}
         for p_ in vs:
             exponents[p_] = exponents.get(p_, 0) + 1
         m = Monomial.from_pairs(n, exponents)
-        result = result + SparsePoly.monomial(m, s * c)
-    return result
+        terms[m] = terms.get(m, 0) + s * (1 if c is None else c)
+    return SparsePoly(n, terms)
 
 
 __all__ = [

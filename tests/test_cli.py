@@ -189,6 +189,12 @@ def test_json_polynomial_round_trip(capsys):
     assert again == json.dumps(data, sort_keys=True)
 
 
+def test_json_terms_accumulate_into_one_polynomial():
+    data = [{"exp": {"11": 1}, "coeff": "1"}, {"exp": {"12": 2}, "coeff": "1/2"},
+            {"exp": {"11": 1}, "coeff": "-1"}, {"exp": {"12": 2}, "coeff": "1/2"}]
+    assert poly_from_json(data, n=2) == parse_poly("x12*x12", n=2)
+
+
 def test_json_modes_parse(capsys):
     for argv in (["grading", "-d", "2", "-n", "3", "--json"],
                  ["hilbert", "-n", "3", "--max-sum", "4", "--json"],

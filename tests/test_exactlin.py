@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from verolink import exactlin
 from verolink.errors import IndexNotFinite
 from verolink.exactlin import (IntMatrix, RatMatrix, det, hermite_normal_form,
                                invariant_factors, is_unimodular,
                                kernel_lattice, rational_nullspace,
                                rational_rank, same_column_space,
-                               smith_normal_form)
+                               smith_normal_form, solve_rational)
+from verolink.verify import higher_torsion
 
 
 def random_int_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -188,6 +190,61 @@ def test_invariant_factors_basis_independent(seed):
     expected = invariant_factors(sub, amb)
     rebased = sub.mul(random_unimodular(rng, k))
     assert invariant_factors(rebased, amb) == expected
+
+
+def test_invariant_factors_refuse_a_sub_off_the_ambient_lattice():
+    # (1, 0) lies in the span of (2, 0) but not in its lattice.
+    with pytest.raises(ValueError, match="ambient lattice"):
+        invariant_factors(IntMatrix.from_columns([(1, 0)]),
+                          IntMatrix.from_columns([(2, 0)]))
+
+
+def test_invariant_factors_refuse_a_sub_outside_the_span():
+    with pytest.raises(ValueError, match="span"):
+        invariant_factors(IntMatrix.from_columns([(1, 1)]),
+                          IntMatrix.from_columns([(1, 0)]))
+
+
+def test_torsion_makes_no_fraction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lattice path reached rational arithmetic")
+
+    for name in ("solve_rational", "rational_rref", "Fraction"):
+        monkeypatch.setattr(exactlin, name, refuse)
+    assert higher_torsion(3, 4) == [3] * 13
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normal_forms_leave_their_arguments_unchanged(seed):
+    rng = random.Random(500 + seed)
+    M = random_int_matrix(rng, 4, 5)
+    sub = IntMatrix.from_columns([(2, 0, 1), (0, 3, 0), (1, 1, 4)])
+    amb = IntMatrix.identity(3)
+    copies = [IntMatrix(X.data) for X in (M, sub, amb)]
+    hermite_normal_form(M)
+    smith_normal_form(M)
+    invariant_factors(sub, amb)
+    assert [M, sub, amb] == copies
+
+
+# -- mixed integer and rational operands ------------------------------------
+
+def test_mixed_operands_give_a_rational_matrix():
+    half = Fraction(1, 2)
+    A = IntMatrix([[2, 0], [0, 1], [1, 1]])
+    B = RatMatrix.from_columns([(1, half, 1)])
+    assert solve_rational(A, B) == RatMatrix([[half], [half]])
+    assert IntMatrix([[1], [2]]).hstack(RatMatrix([[half], [3]])) == RatMatrix(
+        [[1, half], [2, 3]])
+    assert IntMatrix([[1, 2]]).mul(RatMatrix([[half], [Fraction(1, 4)]])) == RatMatrix(
+        [[1]])
+    assert RatMatrix([[half]]).mul(IntMatrix([[2, 4]])) == RatMatrix([[1, 2]])
+
+
+def test_int_and_rational_matrices_stay_unequal():
+    assert IntMatrix([[1]]) != RatMatrix([[1]])
+    assert RatMatrix([[1]]) != IntMatrix([[1]])
+    assert IntMatrix([[1]]).to_rational() == RatMatrix([[1]])
 
 
 # -- rational nullspaces ---------------------------------------------------

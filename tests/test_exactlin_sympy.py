@@ -17,6 +17,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
+from test_exactlin import check_snf  # noqa: E402
 from verolink.exactlin import (IntMatrix, RatMatrix, hermite_normal_form,  # noqa: E402
                                rational_nullspace, rational_rank,
                                rational_rref, smith_normal_form,
@@ -162,6 +163,41 @@ def reversed_rows(rows):
 def test_smith_factors_match_sympy(seed):
     M = lattice_matrix(seed)
     ours = smith_normal_form(M).invariant_factors
+    theirs = invariant_factors(sympy.Matrix(M.data), domain=sympy.ZZ)
+    assert ours == [abs(int(x)) for x in theirs if x != 0]
+
+
+def wide_lattice_matrix(seed):
+    """Random integer matrix up to 8x8 with entries up to +-30.
+
+    Non-square shapes, rank deficiency (as a product through a narrower
+    middle) and zeroed rows or columns each occur in a share of seeds.
+    """
+    rng = random.Random(5000 + seed)
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    rank = rng.choice([None, rng.randint(1, min(rows, cols))])
+    while True:
+        if rank is None:
+            data = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
+        else:
+            left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+            right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+            data = IntMatrix(left).mul(IntMatrix(right)).data
+        if max(abs(x) for row in data for x in row) <= 30:
+            break
+    if rng.random() < 0.3:
+        data[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in data:
+            row[j] = 0
+    return IntMatrix(data)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_smith_form_of_wide_matrices(seed):
+    M = wide_lattice_matrix(seed)
+    ours = check_snf(M).invariant_factors
     theirs = invariant_factors(sympy.Matrix(M.data), domain=sympy.ZZ)
     assert ours == [abs(int(x)) for x in theirs if x != 0]
 

@@ -367,6 +367,28 @@ def test_parse_whitespace_and_signs():
         {Monomial.from_pairs(2, {(1, 1): 2}): Fraction(1, 2)}
 
 
+def test_parse_cancels_terms_that_sum_to_zero():
+    assert parse_poly("x11 - x11 + x12") == parse_poly("x12")
+
+
+def test_parse_builds_the_polynomial_a_fixed_number_of_times(monkeypatch):
+    built = []
+    init = SparsePoly.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparsePoly, "__init__", counting)
+    counts = []
+    for terms in (1, 50):
+        built.clear()
+        p = parse_poly(" + ".join(f"{k + 1}*x11" + "*x12" * k for k in range(terms)))
+        assert len(p) == terms
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_poly("x1")
