@@ -3,7 +3,8 @@
 Exit codes: 0 on success or a verified/affirmative result, 1 when a
 verification or membership check comes back negative, 2 on usage or
 input errors, 3 when an enumeration hits the size cap.  The environment
-variable VLAB_SIZE_CAP overrides the fiber enumeration cap.
+variable VLAB_SIZE_CAP, a non-negative integer, is that cap for every
+command and for the library alike.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import SizeCapExceeded, VerolinkError
 from .fibers import enumerate_fiber, fiber_classes, hilbert_table
@@ -87,11 +89,6 @@ def parse_degree(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad degree {text!r}; expected comma-separated integers")
 
 
-def _read_stdin_poly(n: int | None = None) -> SparsePoly:
-    text = sys.stdin.read()
-    return parse_poly(text, n)
-
-
 def _emit(args, payload, text_lines) -> None:
     if args.json:
         print(json.dumps(payload, indent=None, sort_keys=True))
@@ -123,19 +120,11 @@ def cmd_basis(args) -> int:
 
 def cmd_torsion(args) -> int:
     factors = higher_torsion(args.d, args.n)
-    if not factors:
-        text = "1"
-    else:
-        groups = []
-        seen = []
-        for f in factors:
-            if seen and seen[-1][0] == f:
-                seen[-1][1] += 1
-            else:
-                seen.append([f, 1])
-        for f, count in seen:
-            groups.append(f"{f}^{count}" if count > 1 else str(f))
-        text = "*".join(groups)
+    groups = []
+    for f, run in groupby(factors):
+        count = len(list(run))
+        groups.append(f"{f}^{count}" if count > 1 else str(f))
+    text = "*".join(groups) or "1"
     _emit(args, {"d": args.d, "n": args.n, "factors": factors}, [text])
     return 0
 
@@ -193,7 +182,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_member(args) -> int:
-    p = _read_stdin_poly(args.n)
+    p = parse_poly(sys.stdin.read(), args.n)
     if args.ideal == "jn":
         verdict = in_principal_minor_ideal(p)
     else:
@@ -204,7 +193,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_colon(args) -> int:
-    p = _read_stdin_poly(args.n)
+    p = parse_poly(sys.stdin.read(), args.n)
     verdict = colon_membership(p, args.n)
     _emit(args, {"member": verdict}, ["yes" if verdict else "no"])
     return 0 if verdict else 1

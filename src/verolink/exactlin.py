@@ -422,19 +422,24 @@ def _int_rref(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return a, pivots
 
 
+def clear_denominators(values) -> list[int]:
+    """Exact rationals times the lcm of their denominators.
+
+    Scaling a row or a column keeps its span.
+    """
+    scale = lcm(*(x.denominator for x in values))
+    return [int(x * scale) for x in values]
+
+
 def _as_int_rows(M: IntMatrix | RatMatrix) -> list[list[int]]:
     """Integer rows for ``_int_rref``, always a fresh copy it may mutate.
 
-    IntMatrix rows are copied as they are; rational rows are scaled by
-    the lcm of their denominators (row scaling preserves the row space).
+    IntMatrix rows are copied as they are; rational rows are cleared of
+    denominators, which preserves the row space.
     """
     if not isinstance(M, RatMatrix):
         return [row[:] for row in M.data]
-    out = []
-    for row in M.data:
-        scale = lcm(*(x.denominator for x in row))
-        out.append([int(x * scale) for x in row])
-    return out
+    return [clear_denominators(row) for row in M.data]
 
 
 def rational_rref(M: IntMatrix | RatMatrix) -> tuple[list[list[Fraction]], list[int]]:

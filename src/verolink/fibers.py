@@ -22,14 +22,22 @@ DEFAULT_SIZE_CAP = 10 ** 6
 
 
 def size_cap() -> int:
-    """Fiber-point cap; VLAB_SIZE_CAP overrides it and must be an integer."""
+    """Fiber-point cap, the one size limit of the package.
+
+    VLAB_SIZE_CAP overrides the default and must be a non-negative
+    integer; anything else raises ValueError naming the variable.
+    """
     raw = os.environ.get("VLAB_SIZE_CAP")
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"VLAB_SIZE_CAP must be an integer, got {raw!r}") from None
-    return DEFAULT_SIZE_CAP
+    if raw is None:
+        return DEFAULT_SIZE_CAP
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(
+            f"VLAB_SIZE_CAP must be a non-negative integer, got {raw!r}")
+    return limit
 
 
 def degree_of(u: Monomial, V: GradingMatrix) -> tuple[int, ...]:
@@ -58,22 +66,23 @@ def _fiber_plan(d: int, n: int):
     return supports, finishing
 
 
-def _raw_fiber(d: int, n: int, b: tuple[int, ...], cap: int | None) -> list[tuple[int, ...]]:
+def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All nonnegative solutions of V @ u == b as dense exponent tuples.
 
     Depth-first over the columns in lexicographic order, so the output
     comes out sorted ascending; any residual going negative prunes the
     branch, and the exponent of the last column touching a row is
-    forced rather than searched.
+    forced rather than searched.  Raises SizeCapExceeded once the
+    solution count passes ``size_cap()``.
     """
     check_size(d, n)
+    limit = size_cap()
     if len(b) != n:
         raise SizeMismatch("degree length differs from n")
     if any(x < 0 for x in b):
         return []
     if sum(b) % d:
         return []
-    limit = size_cap() if cap is None else cap
     supports, finishing = _fiber_plan(d, n)
     ncols = len(supports)
     residual = list(b)
@@ -113,13 +122,13 @@ def _raw_fiber(d: int, n: int, b: tuple[int, ...], cap: int | None) -> list[tupl
     return out
 
 
-def enumerate_fiber(V: GradingMatrix, b, cap: int | None = None) -> list[Monomial]:
+def enumerate_fiber(V: GradingMatrix, b) -> list[Monomial]:
     """All monomials of multidegree b, in lexicographic exponent order.
 
     Empty when b is not in the grading monoid.  Raises SizeCapExceeded
-    once the solution count passes the cap (default ``size_cap()``).
+    once the solution count passes ``size_cap()``.
     """
-    raw = _raw_fiber(V.d, V.n, tuple(b), cap)
+    raw = _raw_fiber(V.d, V.n, tuple(b))
     return [Monomial(V.n, exps, V.d) for exps in raw]
 
 
@@ -158,13 +167,13 @@ def class_key(u: Monomial) -> FiberClassKey:
                          parities=off_diagonal_parities(u.exps, u.n))
 
 
-def class_count(n: int, b, cap: int | None = None) -> int:
+def class_count(n: int, b) -> int:
     """Number of equivalence classes in the fiber of b.
 
     Equals the graded Hilbert function of the quotient by the
     principal-minor ideal at b.
     """
-    raw = _raw_fiber(2, n, tuple(b), cap)
+    raw = _raw_fiber(2, n, tuple(b))
     return len({off_diagonal_parities(exps, n) for exps in raw})
 
 
@@ -197,8 +206,8 @@ def minimal_saturated_fibers(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def connectivity_classes(V: GradingMatrix, b, moves: list[LatticeVector],
-                         cap: int | None = None) -> list[list[Monomial]]:
+def connectivity_classes(V: GradingMatrix, b, moves: list[LatticeVector]
+                         ) -> list[list[Monomial]]:
     """Partition the fiber of b into components of the move graph.
 
     Edges join u and u + m for each move m whenever both endpoints are
@@ -210,7 +219,7 @@ def connectivity_classes(V: GradingMatrix, b, moves: list[LatticeVector],
     for m in moves:
         if m.n != V.n:
             raise SizeMismatch("move over a different variable set")
-    raw = _raw_fiber(2, V.n, tuple(b), cap)
+    raw = _raw_fiber(2, V.n, tuple(b))
     index = {exps: k for k, exps in enumerate(raw)}
     parent = list(range(len(raw)))
 
@@ -276,21 +285,20 @@ def degrees_up_to(n: int, bound: int):
         yield from compositions(s, n)
 
 
-def hilbert_table(n: int, max_sum: int, cap: int | None = None):
+def hilbert_table(n: int, max_sum: int):
     """Per-degree fiber sizes and class counts up to a coordinate sum.
 
     Yields (degree, fiber size, class count, saturated flag) rows.
     """
     for b in degrees_up_to(n, max_sum):
-        raw = _raw_fiber(2, n, b, cap)
+        raw = _raw_fiber(2, n, b)
         classes = len({off_diagonal_parities(e, n) for e in raw})
         yield b, len(raw), classes, is_saturated_degree(n, b)
 
 
-def fiber_classes(V: GradingMatrix, b, cap: int | None = None
-                  ) -> list[list[Monomial]]:
+def fiber_classes(V: GradingMatrix, b) -> list[list[Monomial]]:
     """Fiber of b grouped by class key; classes ordered by first member."""
-    points = enumerate_fiber(V, b, cap)
+    points = enumerate_fiber(V, b)
     grouped: dict[tuple[int, ...], list[Monomial]] = {}
     for u in points:
         grouped.setdefault(off_diagonal_parities(u.exps, V.n), []).append(u)

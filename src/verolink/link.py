@@ -50,7 +50,7 @@ def saturation_exponent(n: int) -> int:
     return pair_count(n - 1) - (n - 1) // 2
 
 
-def saturated_fiber_poly(n: int, i: int, cap: int | None = None) -> SparsePoly:
+def saturated_fiber_poly(n: int, i: int) -> SparsePoly:
     """Class generating function of the i-th minimal saturated fiber.
 
     One canonical monomial per equivalence class, coefficient one; the
@@ -71,7 +71,7 @@ def saturated_fiber_poly(n: int, i: int, cap: int | None = None) -> SparsePoly:
         b = degrees[i - 1]
     # The raw fiber comes out ascending, so the last point kept per
     # parity key is the class's largest exponent tuple.
-    canonical = {off_diagonal_parities(e, n): e for e in _raw_fiber(2, n, b, cap)}
+    canonical = {off_diagonal_parities(e, n): e for e in _raw_fiber(2, n, b)}
     return SparsePoly(n, {Monomial(n, e): 1 for e in canonical.values()})
 
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import lcm
 from operator import add, ge, or_, sub
 
 from .errors import IndexOutOfRange, SizeMismatch
-from .exactlin import (IntMatrix, invariant_factors, kernel_lattice,
-                       rational_nullspace, rational_rank)
+from .exactlin import (IntMatrix, clear_denominators, invariant_factors,
+                       kernel_lattice, rational_nullspace, rational_rank)
 from .fibers import (_raw_fiber, degrees_up_to, enumerate_fiber,
                      off_diagonal_parities)
 from .ideals import (generator_lattice, higher_veronese_gens,
@@ -29,12 +28,6 @@ from .link import link_generators
 from .poly import (SignCharacter, SparsePoly, all_characters,
                    in_principal_minor_ideal, multidegree)
 from .veronese import Monomial, veronese_matrix
-
-
-def _cleared(values) -> list[int]:
-    """Exact rationals times the lcm of their denominators; spans are kept."""
-    scale = lcm(*(x.denominator for x in values))
-    return [int(x * scale) for x in values]
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,7 @@ class DegreePiece:
 
 def _prepared(gens: list[SparsePoly], n: int) -> list[tuple]:
     """Each generator as a base term u0 and its terms as (exps - u0,
-    coefficient) pairs, scaled to integers as in ``_cleared``.
+    coefficient) pairs, scaled by ``clear_denominators``.
     ``multidegree`` rejects an inhomogeneous generator."""
     if any((g.n, g.d) != (n, 2) for g in gens):
         raise SizeMismatch("generator over a different variable set")
@@ -64,7 +57,7 @@ def _prepared(gens: list[SparsePoly], n: int) -> list[tuple]:
         multidegree(g)
         u0 = next(iter(g.terms)).exps
         prepared.append((u0, [(tuple(map(sub, m.exps, u0)), c) for m, c in
-                              zip(g.terms, _cleared(g.terms.values()))]))
+                              zip(g.terms, clear_denominators(g.terms.values()))]))
     return prepared
 
 
@@ -87,15 +80,14 @@ def _columns(prepared: list[tuple], fiber: list[tuple[int, ...]]) -> IntMatrix:
     return IntMatrix.from_columns(columns, rows=len(fiber))
 
 
-def ideal_degree_piece(gens: list[SparsePoly], n: int, b,
-                       cap: int | None = None) -> DegreePiece:
+def ideal_degree_piece(gens: list[SparsePoly], n: int, b) -> DegreePiece:
     """Degree-b piece of the ideal generated by homogeneous polynomials.
 
     Spanned by the products m*g over generators g and monomials m of the
     complementary degree; expressed in the fiber coordinates of b.
     """
     b = tuple(b)
-    fiber = enumerate_fiber(veronese_matrix(2, n), b, cap)
+    fiber = enumerate_fiber(veronese_matrix(2, n), b)
     vectors = _columns(_prepared(gens, n), [m.exps for m in fiber])
     return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
 
@@ -125,8 +117,8 @@ def _character_rows(n: int, fiber: list[tuple[int, ...]],
     return IntMatrix(rows, cols=len(fiber))
 
 
-def subintersection_degree_piece(n: int, omitted: SignCharacter, b,
-                                 cap: int | None = None) -> DegreePiece:
+def subintersection_degree_piece(n: int, omitted: SignCharacter, b
+                                 ) -> DegreePiece:
     """Degree-b piece of the intersection of all components but one.
 
     The piece is the common kernel of the character-weighted coefficient
@@ -136,12 +128,12 @@ def subintersection_degree_piece(n: int, omitted: SignCharacter, b,
     if omitted.n != n:
         raise SizeMismatch("character over a different variable set")
     b = tuple(b)
-    fiber = enumerate_fiber(veronese_matrix(2, n), b, cap)
+    fiber = enumerate_fiber(veronese_matrix(2, n), b)
     characters = [eps for eps in all_characters(n) if eps != omitted]
     kernel = rational_nullspace(_character_rows(n, [m.exps for m in fiber],
                                                 _sign_masks(characters)))
-    vectors = IntMatrix.from_columns([_cleared(c) for c in kernel.columns()],
-                                     rows=len(fiber))
+    vectors = IntMatrix.from_columns(
+        [clear_denominators(c) for c in kernel.columns()], rows=len(fiber))
     return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
 
 
@@ -195,8 +187,8 @@ class VerificationReport:
 
 
 def _check_degrees(n: int, gens: list[SparsePoly],
-                   characters: list[SignCharacter], bound: int,
-                   cap: int | None) -> tuple[DegreeRecord, ...]:
+                   characters: list[SignCharacter], bound: int
+                   ) -> tuple[DegreeRecord, ...]:
     """Per degree up to the bound, whether the generators span the common
     kernel of the characters: the characters annihilate the span, which
     has the kernel's dimension.  A negative bound raises ValueError."""
@@ -206,7 +198,7 @@ def _check_degrees(n: int, gens: list[SparsePoly],
     masks = _sign_masks(characters)
     records = []
     for b in degrees_up_to(n, bound):
-        fiber = _raw_fiber(2, n, b, cap)
+        fiber = _raw_fiber(2, n, b)
         cols = _columns(prepared, fiber)
         chars = _character_rows(n, fiber, masks)
         di = rational_rank(cols)
@@ -217,8 +209,8 @@ def _check_degrees(n: int, gens: list[SparsePoly],
     return tuple(records)
 
 
-def verify_link(n: int, omitted: SignCharacter, total_degree_bound: int,
-                cap: int | None = None) -> VerificationReport:
+def verify_link(n: int, omitted: SignCharacter, total_degree_bound: int
+                ) -> VerificationReport:
     """Check that the link generators span the subintersection.
 
     For every degree with coordinate sum up to the (even) bound, the
@@ -227,13 +219,12 @@ def verify_link(n: int, omitted: SignCharacter, total_degree_bound: int,
     """
     gens = link_generators(n, omitted).all_gens()
     characters = [eps for eps in all_characters(n) if eps != omitted]
-    records = _check_degrees(n, gens, characters, total_degree_bound, cap)
+    records = _check_degrees(n, gens, characters, total_degree_bound)
     return VerificationReport(n=n, degree_bound=total_degree_bound, kind="link",
                               omitted=omitted, records=records)
 
 
-def verify_decomposition(n: int, total_degree_bound: int,
-                         cap: int | None = None) -> VerificationReport:
+def verify_decomposition(n: int, total_degree_bound: int) -> VerificationReport:
     """Check the prime decomposition degree by degree.
 
     The principal-minor ideal J_n is the intersection of the twisted
@@ -242,7 +233,7 @@ def verify_decomposition(n: int, total_degree_bound: int,
     functionals.  A negative bound raises ValueError.
     """
     records = _check_degrees(n, principal_minor_gens(n), all_characters(n),
-                             total_degree_bound, cap)
+                             total_degree_bound)
     return VerificationReport(n=n, degree_bound=total_degree_bound,
                               kind="decomposition", omitted=None,
                               records=records)
@@ -268,9 +259,11 @@ def group_algebra_subintersection(k: int) -> bool:
     character chi*, the intersection of the other kernels must equal the
     principal ideal generated by prod_i (1 + chi*(t_i) t_i); both sides
     are computed honestly and compared as subspaces of the algebra.
+    k is limited to 1..7: each step doubles both the omission count and
+    the matrix width, and k = 7 already takes seconds.
     """
-    if not 1 <= k <= 8:
-        raise IndexOutOfRange("need 1 <= k <= 8")
+    if not 1 <= k <= 7:
+        raise IndexOutOfRange("need 1 <= k <= 7")
     # Group elements are k-bit ints, coordinate i in bit k-1-i: the
     # product is XOR and the order is that of the coordinate tuples.
     size = 1 << k

@@ -161,6 +161,38 @@ def test_non_integer_size_cap_is_a_usage_error(capsys, monkeypatch):
     assert "VLAB_SIZE_CAP" in err
 
 
+# 1,0,0 has an odd sum, so its fiber is empty and has no point to count.
+@pytest.mark.parametrize("value, degree", [("abc", "1,0,0"), ("-5", "2,1,1"),
+                                           ("-5", "1,0,0")])
+def test_bad_size_cap_is_a_usage_error(capsys, monkeypatch, value, degree):
+    monkeypatch.setenv("VLAB_SIZE_CAP", value)
+    code, out, err = run(capsys, ["fiber", "-n", "3", "-b", degree])
+    assert code == 2 and out == ""
+    assert "VLAB_SIZE_CAP" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "fiber -n 3 -b 2,1,1",
+    "fiber -n 3 -b 2,1,1 --classes",
+    "hilbert -n 3 --max-sum 4",
+    "pplus -n 3 -i 1",
+    "verify-link -n 3 --bound 4",
+    "verify-decomp -n 3 --bound 4",
+])
+def test_every_enumerating_command_obeys_the_size_cap(capsys, monkeypatch, argv):
+    monkeypatch.setenv("VLAB_SIZE_CAP", "1")
+    code, out, err = run(capsys, argv.split())
+    assert code == 3 and out == ""
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("k", ["0", "8"])
+def test_laurent_check_outside_its_range_is_a_usage_error(capsys, k):
+    code, out, err = run(capsys, ["laurent-check", "-k", k])
+    assert code == 2 and out == ""
+    assert "k <= 7" in err
+
+
 @pytest.mark.parametrize("spec", ["123:-", "1:-", "12:", "12:+-", "12", "a2:-"])
 def test_malformed_sign_spec_is_a_usage_error(capsys, monkeypatch, spec):
     code, out, _ = run(capsys, ["verify-link", "-n", "3", "--bound", "2",

@@ -57,10 +57,11 @@ def test_fiber_golden_n3():
     assert enumerate_fiber(V, (1, 0, 0)) == []
 
 
-def test_fiber_size_cap():
+def test_fiber_size_cap(monkeypatch):
+    monkeypatch.setenv("VLAB_SIZE_CAP", "3")
     V = veronese_matrix(2, 4)
     with pytest.raises(SizeCapExceeded):
-        enumerate_fiber(V, (4, 4, 4, 4), cap=3)
+        enumerate_fiber(V, (4, 4, 4, 4))
 
 
 def test_size_cap_env_override(monkeypatch):
