@@ -8,7 +8,7 @@ from .exactlin import (IntMatrix, RatMatrix, SnfResult, hermite_normal_form,
                        invariant_factors, kernel_lattice, rational_nullspace,
                        rational_rank, same_column_space, smith_normal_form)
 from .fibers import (FiberClassKey, class_count, class_key,
-                     connectivity_classes, degree_of, enumerate_fiber,
+                     connectivity_classes, enumerate_fiber,
                      is_saturated_degree, minimal_saturated_fibers,
                      principal_moves)
 from .ideals import (higher_veronese_gens, principal_minor_gens,

@@ -67,7 +67,8 @@ def parse_sign_spec(spec: str) -> dict[tuple[int, int], int]:
         if not item:
             continue
         key, _, sign = item.partition(":")
-        if not (len(key) == 2 and key.isascii() and key.isdigit()):
+        if not (len(key) == 2 and key.isascii() and key.isdigit()
+                and "0" not in key):
             raise ValueError(f"bad sign entry {item!r}; expected like '12:-'")
         if sign not in ("+", "-"):
             raise ValueError(f"bad sign {sign!r} in {item!r}")
@@ -131,14 +132,13 @@ def cmd_torsion(args) -> int:
 
 def cmd_fiber(args) -> int:
     b = parse_degree(args.b)
-    V = veronese_matrix(2, args.n)
     if args.classes:
-        rendered = [(cid, str(m)) for cid, cls in enumerate(fiber_classes(V, b))
-                    for m in cls]
+        rendered = [(cid, str(m)) for cid, cls in
+                    enumerate(fiber_classes(args.n, b)) for m in cls]
         lines = [f"{cid}\t{text}" for cid, text in rendered]
         payload = [{"class": cid, "monomial": text} for cid, text in rendered]
     else:
-        lines = [str(m) for m in enumerate_fiber(V, b)]
+        lines = [str(m) for m in enumerate_fiber(args.n, b)]
         payload = [{"monomial": text} for text in lines]
     _emit(args, payload, lines)
     return 0

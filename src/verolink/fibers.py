@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import IndexOutOfRange, SizeCapExceeded, SizeMismatch
-from .veronese import (GradingMatrix, LatticeVector, Monomial, check_size,
-                       column_position, column_supports, minor_vector)
+from .veronese import (LatticeVector, Monomial, check_size, column_position,
+                       column_supports, minor_vector)
 
 DEFAULT_SIZE_CAP = 10 ** 6
 
@@ -38,13 +38,6 @@ def size_cap() -> int:
         raise ValueError(
             f"VLAB_SIZE_CAP must be a non-negative integer, got {raw!r}")
     return limit
-
-
-def degree_of(u: Monomial, V: GradingMatrix) -> tuple[int, ...]:
-    """Multidegree of u, i.e. the matrix-vector product V @ u."""
-    if (u.d, u.n) != (V.d, V.n):
-        raise SizeMismatch("monomial not indexed compatibly with the grading")
-    return u.degree()
 
 
 @lru_cache(maxsize=None)
@@ -122,47 +115,50 @@ def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_fiber(V: GradingMatrix, b) -> list[Monomial]:
+def enumerate_fiber(n: int, b) -> list[Monomial]:
     """All monomials of multidegree b, in lexicographic exponent order.
 
     Empty when b is not in the grading monoid.  Raises SizeCapExceeded
     once the solution count passes ``size_cap()``.
     """
-    raw = _raw_fiber(V.d, V.n, tuple(b))
-    return [Monomial(V.n, exps, V.d) for exps in raw]
+    return [Monomial(n, exps) for exps in _raw_fiber(2, n, tuple(b))]
 
 
 @lru_cache(maxsize=None)
 def _parity_positions(n: int) -> tuple[int, ...]:
-    """Column positions of the pairs {i < j <= n-1} (lexicographic)."""
+    """Column positions of the pairs {i < j <= n-1}, last pair first."""
     pos = column_position(2, n)
-    return tuple(pos[(i, j)] for i in range(1, n) for j in range(i + 1, n))
+    return tuple(pos[(i, j)] for i in range(1, n)
+                 for j in range(i + 1, n))[::-1]
 
 
-def off_diagonal_parities(exps: tuple[int, ...], n: int) -> tuple[int, ...]:
+def off_diagonal_parities(exps: tuple[int, ...], n: int) -> int:
     """Exponents of the pairs {i < j <= n-1} in dense weight-2 ``exps``
-    modulo two, in lexicographic pair order."""
-    return tuple([exps[p] & 1 for p in _parity_positions(n)])
+    modulo two, as a bit mask: bit k is the k-th pair in lexicographic
+    order, the order of ``SignCharacter.signs``."""
+    mask = 0
+    for p in _parity_positions(n):
+        mask = mask << 1 | exps[p] & 1
+    return mask
 
 
 @dataclass(frozen=True)
 class FiberClassKey:
     """Complete invariant of a fiber point modulo the principal-minor lattice.
 
-    ``parities`` collects the exponents of the off-diagonal pairs of
-    [n-1] modulo two, in lexicographic pair order; together with the
+    ``parities`` is the bit mask of the exponents of the off-diagonal
+    pairs of [n-1] modulo two, bit k for the k-th pair in lexicographic
+    order (see ``off_diagonal_parities``); together with the
     multidegree it separates equivalence classes because every
     principal-minor move changes each off-diagonal entry by an even
     amount.
     """
 
     degree: tuple[int, ...]
-    parities: tuple[int, ...]
+    parities: int
 
 
 def class_key(u: Monomial) -> FiberClassKey:
-    if u.d != 2:
-        raise SizeMismatch("class keys are defined for weight-2 monomials")
     return FiberClassKey(degree=u.degree(),
                          parities=off_diagonal_parities(u.exps, u.n))
 
@@ -206,7 +202,7 @@ def minimal_saturated_fibers(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def connectivity_classes(V: GradingMatrix, b, moves: list[LatticeVector]
+def connectivity_classes(n: int, b, moves: list[LatticeVector]
                          ) -> list[list[Monomial]]:
     """Partition the fiber of b into components of the move graph.
 
@@ -214,12 +210,10 @@ def connectivity_classes(V: GradingMatrix, b, moves: list[LatticeVector]
     nonnegative.  With the principal 2-minor vectors as moves this is
     the brute-force oracle for ``class_key``.
     """
-    if V.d != 2:
-        raise SizeMismatch("walk connectivity is defined for weight 2")
     for m in moves:
-        if m.n != V.n:
+        if m.n != n:
             raise SizeMismatch("move over a different variable set")
-    raw = _raw_fiber(2, V.n, tuple(b))
+    raw = _raw_fiber(2, n, tuple(b))
     index = {exps: k for k, exps in enumerate(raw)}
     parent = list(range(len(raw)))
 
@@ -247,7 +241,7 @@ def connectivity_classes(V: GradingMatrix, b, moves: list[LatticeVector]
     for exps, k in index.items():
         groups.setdefault(find(k), []).append(exps)
     components = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-    return [[Monomial(V.n, exps) for exps in comp] for comp in components]
+    return [[Monomial(n, exps) for exps in comp] for comp in components]
 
 
 def principal_moves(n: int) -> list[LatticeVector]:
@@ -296,18 +290,17 @@ def hilbert_table(n: int, max_sum: int):
         yield b, len(raw), classes, is_saturated_degree(n, b)
 
 
-def fiber_classes(V: GradingMatrix, b) -> list[list[Monomial]]:
+def fiber_classes(n: int, b) -> list[list[Monomial]]:
     """Fiber of b grouped by class key; classes ordered by first member."""
-    points = enumerate_fiber(V, b)
-    grouped: dict[tuple[int, ...], list[Monomial]] = {}
-    for u in points:
-        grouped.setdefault(off_diagonal_parities(u.exps, V.n), []).append(u)
+    grouped: dict[int, list[Monomial]] = {}
+    for u in enumerate_fiber(n, b):
+        grouped.setdefault(off_diagonal_parities(u.exps, n), []).append(u)
     return sorted(grouped.values(), key=lambda g: g[0].exps)
 
 
 __all__ = [
     "DEFAULT_SIZE_CAP", "FiberClassKey", "canonical_representative",
-    "class_count", "class_key", "connectivity_classes", "degree_of",
+    "class_count", "class_key", "connectivity_classes",
     "degrees_up_to", "enumerate_fiber", "fiber_classes", "hilbert_table",
     "is_saturated_degree", "minimal_saturated_fibers",
     "off_diagonal_parities", "principal_moves", "size_cap",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .errors import IndexOutOfRange
 from .exactlin import IntMatrix
 from .poly import SparsePoly
-from .veronese import (LatticeVector, Monomial, check_size, column_position,
+from .veronese import (LatticeVector, check_size, column_position,
                        minor_vector, variable_multisets)
 
 
@@ -59,11 +59,14 @@ def veronese_minor_gens(n: int) -> list[SparsePoly]:
     return out
 
 
-def higher_veronese_gens(d: int, n: int) -> list[SparsePoly]:
-    """The diagonal-comparison binomials of the weight-d grading.
+def higher_veronese_gens(d: int, n: int) -> list[tuple[int, ...]]:
+    """Signed exponent vectors of the diagonal-comparison binomials of
+    the weight-d grading.
 
     One binomial x_v^d - prod_i x_(d*e_i)^(v_i) per non-diagonal column
-    v; the count is the column count minus n.
+    v, given as its exponent vector: d at v, minus the multiplicity of
+    i in v at the diagonal column d*e_i, dense in the column order of
+    ``variable_multisets(d, n)``.  The count is the column count minus n.
     """
     if d < 2 or n < 2:
         raise IndexOutOfRange("need d >= 2 and n >= 2")
@@ -71,19 +74,15 @@ def higher_veronese_gens(d: int, n: int) -> list[SparsePoly]:
     cols = variable_multisets(d, n)
     pos = column_position(d, n)
     diag = {(i,) * d for i in range(1, n + 1)}
-    size = len(cols)
     out = []
     for ms in cols:
         if ms in diag:
             continue
-        plus = [0] * size
-        plus[pos[ms]] = d
-        minus = [0] * size
+        vec = [0] * len(cols)
+        vec[pos[ms]] = d
         for i in ms:
-            minus[pos[(i,) * d]] += 1
-        g = (SparsePoly.monomial(Monomial(n, tuple(plus), d))
-             - SparsePoly.monomial(Monomial(n, tuple(minus), d)))
-        out.append(g)
+            vec[pos[(i,) * d]] -= 1
+        out.append(tuple(vec))
     return out
 
 
@@ -102,11 +101,11 @@ def binomial_exponent_vector(g: SparsePoly) -> tuple[int, ...]:
     return tuple(a - b for a, b in zip(plus.exps, minus.exps))
 
 
-def generator_lattice(gens: list[SparsePoly]) -> IntMatrix:
-    """Columns: the exponent vectors of a list of difference binomials."""
-    if not gens:
+def generator_lattice(vectors: list[tuple[int, ...]]) -> IntMatrix:
+    """Columns: the signed exponent vectors of difference binomials, as
+    returned by ``higher_veronese_gens`` or ``binomial_exponent_vector``."""
+    if not vectors:
         raise ValueError("empty generator list")
-    vectors = [binomial_exponent_vector(g) for g in gens]
     return IntMatrix.from_columns(vectors, rows=len(vectors[0]))
 
 

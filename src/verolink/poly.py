@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import prod
 
 from .errors import (DegreeMismatch, Inhomogeneous, SizeMismatch,
                      ZeroPolynomial)
@@ -29,16 +29,15 @@ from .veronese import Monomial, pair, pair_count, variable_multisets
 
 
 class SparsePoly:
-    """Finite map from monomials to nonzero rational coefficients."""
+    """Finite map from weight-2 monomials to nonzero rational coefficients."""
 
-    __slots__ = ("n", "d", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms=None, d: int = 2):
+    def __init__(self, n: int, terms=None):
         self.n = n
-        self.d = d
         clean: dict[Monomial, Fraction] = {}
         for m, c in (terms or {}).items():
-            if (m.n, m.d) != (n, d):
+            if m.n != n:
                 raise SizeMismatch("term over a different variable set")
             c = Fraction(c)
             if c:
@@ -48,16 +47,16 @@ class SparsePoly:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, d: int = 2) -> "SparsePoly":
-        return cls(n, {}, d)
+    def zero(cls, n: int) -> "SparsePoly":
+        return cls(n)
 
     @classmethod
-    def constant(cls, n: int, c, d: int = 2) -> "SparsePoly":
-        return cls(n, {Monomial.one(n, d): Fraction(c)}, d)
+    def constant(cls, n: int, c) -> "SparsePoly":
+        return cls(n, {Monomial.one(n): Fraction(c)})
 
     @classmethod
     def monomial(cls, m: Monomial, c=1) -> "SparsePoly":
-        return cls(m.n, {m: Fraction(c)}, m.d)
+        return cls(m.n, {m: Fraction(c)})
 
     @classmethod
     def variable(cls, n: int, i: int, j: int) -> "SparsePoly":
@@ -66,7 +65,7 @@ class SparsePoly:
     # -- ring structure ----------------------------------------------
 
     def _check(self, other: "SparsePoly") -> None:
-        if (self.n, self.d) != (other.n, other.d):
+        if self.n != other.n:
             raise SizeMismatch("polynomials over different variable sets")
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
@@ -74,10 +73,10 @@ class SparsePoly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return SparsePoly(self.n, out, self.d)
+        return SparsePoly(self.n, out)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.n, {m: -c for m, c in self.terms.items()}, self.d)
+        return SparsePoly(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
@@ -89,11 +88,11 @@ class SparsePoly:
             for m2, c2 in other.terms.items():
                 m = m1 * m2
                 out[m] = out.get(m, 0) + c1 * c2
-        return SparsePoly(self.n, out, self.d)
+        return SparsePoly(self.n, out)
 
     def scale(self, c) -> "SparsePoly":
         c = Fraction(c)
-        return SparsePoly(self.n, {m: c * v for m, v in self.terms.items()}, self.d)
+        return SparsePoly(self.n, {m: c * v for m, v in self.terms.items()})
 
     def __rmul__(self, c) -> "SparsePoly":
         return self.scale(c)
@@ -103,7 +102,7 @@ class SparsePoly:
 
     def __eq__(self, other):
         return (isinstance(other, SparsePoly) and self.n == other.n
-                and self.d == other.d and self.terms == other.terms)
+                and self.terms == other.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -131,7 +130,7 @@ def degree_split(p: SparsePoly) -> dict[tuple[int, ...], SparsePoly]:
     parts: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
     for m, c in p.terms.items():
         parts.setdefault(m.degree(), {})[m] = c
-    return {b: SparsePoly(p.n, t, p.d) for b, t in parts.items()}
+    return {b: SparsePoly(p.n, t) for b, t in parts.items()}
 
 
 # -- twisting automorphisms and sign characters -----------------------
@@ -166,8 +165,6 @@ def twist(p: SparsePoly, t: Twisting) -> SparsePoly:
     """Apply a sign automorphism; an involution when applied twice."""
     if p.n != t.n:
         raise SizeMismatch("twisting over a different variable set")
-    if p.d != 2:
-        raise SizeMismatch("twistings act on the weight-2 variables")
     cols = variable_multisets(2, p.n)
     out = {}
     for m, c in p.terms.items():
@@ -176,7 +173,7 @@ def twist(p: SparsePoly, t: Twisting) -> SparsePoly:
             if e & 1 and t.sign(*cols[k]) < 0:
                 s = -s
         out[m] = c if s > 0 else -c
-    return SparsePoly(p.n, out, 2)
+    return SparsePoly(p.n, out)
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,10 @@ class SignCharacter:
 
     These parametrize the 2**binom(n-1, 2) components of the prime
     decomposition of the principal-minor ideal; ``signs`` is indexed by
-    the pairs {i < j <= n-1} in lexicographic order.
+    the pairs {i < j <= n-1} in lexicographic order.  ``mask`` has bit k
+    set where ``signs[k]`` is -1, so eps takes the value -1 on a parity
+    mask (``off_diagonal_parities``) exactly when ``mask & parities``
+    has an odd number of bits.
     """
 
     n: int
@@ -196,6 +196,13 @@ class SignCharacter:
             raise SizeMismatch("need one sign per off-diagonal pair of [n-1]")
         if any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be +1 or -1")
+
+    @cached_property
+    def mask(self) -> int:
+        mask = 0
+        for s in reversed(self.signs):
+            mask = mask << 1 | (s < 0)
+        return mask
 
     @classmethod
     def trivial(cls, n: int) -> "SignCharacter":
@@ -275,12 +282,9 @@ def character_value(eps: SignCharacter, u: Monomial, u0: Monomial) -> int:
         raise SizeMismatch("character over a different variable set")
     if u.degree() != u0.degree():
         raise DegreeMismatch("monomials lie in different fibers")
-    value = 1
-    for s, a, b in zip(eps.signs, off_diagonal_parities(u.exps, eps.n),
-                       off_diagonal_parities(u0.exps, eps.n)):
-        if a != b and s < 0:
-            value = -value
-    return value
+    diff = (off_diagonal_parities(u.exps, eps.n)
+            ^ off_diagonal_parities(u0.exps, eps.n))
+    return -1 if (eps.mask & diff).bit_count() & 1 else 1
 
 
 # -- normal forms modulo the principal-minor ideal ---------------------
@@ -358,7 +362,7 @@ def in_twisted_veronese(p: SparsePoly, eps: SignCharacter) -> bool:
         raise SizeMismatch("character over a different variable set")
     totals: dict[tuple[int, ...], Fraction] = {}
     for key, s in _class_sums(p).items():
-        sign = prod(e for e, bit in zip(eps.signs, key.parities) if bit)
+        sign = -1 if (eps.mask & key.parities).bit_count() & 1 else 1
         totals[key.degree] = totals.get(key.degree, 0) + sign * s
     return not any(totals.values())
 

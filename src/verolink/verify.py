@@ -50,7 +50,7 @@ def _prepared(gens: list[SparsePoly], n: int) -> list[tuple]:
     """Each generator as a base term u0 and its terms as (exps - u0,
     coefficient) pairs, scaled by ``clear_denominators``.
     ``multidegree`` rejects an inhomogeneous generator."""
-    if any((g.n, g.d) != (n, 2) for g in gens):
+    if any(g.n != n for g in gens):
         raise SizeMismatch("generator over a different variable set")
     prepared = []
     for g in gens:
@@ -87,30 +87,20 @@ def ideal_degree_piece(gens: list[SparsePoly], n: int, b) -> DegreePiece:
     complementary degree; expressed in the fiber coordinates of b.
     """
     b = tuple(b)
-    fiber = enumerate_fiber(veronese_matrix(2, n), b)
+    fiber = enumerate_fiber(n, b)
     vectors = _columns(_prepared(gens, n), [m.exps for m in fiber])
     return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
 
 
-def _sign_masks(characters: list[SignCharacter]) -> list[int]:
-    """Each character as a bit mask: bit k set where parity bit k of
-    ``off_diagonal_parities`` carries a minus sign."""
-    return [sum(1 << k for k, s in enumerate(eps.signs) if s < 0)
-            for eps in characters]
-
-
 def _character_rows(n: int, fiber: list[tuple[int, ...]],
                     masks: list[int]) -> IntMatrix:
-    """The +-1 values of characters, given by sign masks, on a fiber of
-    exponent tuples, relative to its canonical (largest) point: -1 where
-    an odd number of the parity bits that differ from that point's carry
-    a minus sign.  Masks that agree on the bits that vary over the fiber
-    give one row, which keeps the row space."""
-    def mask(exps: tuple[int, ...]) -> int:
-        return sum(bit << k for k, bit in enumerate(off_diagonal_parities(exps, n)))
-
-    base = mask(max(fiber))
-    diffs = [mask(exps) ^ base for exps in fiber]
+    """The +-1 values of characters, given by their ``mask``, on a fiber
+    of exponent tuples, relative to its canonical (largest) point: -1
+    where an odd number of the parity bits that differ from that point's
+    carry a minus sign.  Masks that agree on the bits that vary over the
+    fiber give one row, which keeps the row space."""
+    base = off_diagonal_parities(max(fiber), n)
+    diffs = [off_diagonal_parities(exps, n) ^ base for exps in fiber]
     varying = reduce(or_, diffs)
     rows = [[-1 if (d & minus).bit_count() & 1 else 1 for d in diffs]
             for minus in sorted({m & varying for m in masks})]
@@ -128,10 +118,10 @@ def subintersection_degree_piece(n: int, omitted: SignCharacter, b
     if omitted.n != n:
         raise SizeMismatch("character over a different variable set")
     b = tuple(b)
-    fiber = enumerate_fiber(veronese_matrix(2, n), b)
-    characters = [eps for eps in all_characters(n) if eps != omitted]
+    fiber = enumerate_fiber(n, b)
+    masks = [eps.mask for eps in all_characters(n) if eps != omitted]
     kernel = rational_nullspace(_character_rows(n, [m.exps for m in fiber],
-                                                _sign_masks(characters)))
+                                                masks))
     vectors = IntMatrix.from_columns(
         [clear_denominators(c) for c in kernel.columns()], rows=len(fiber))
     return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
@@ -195,7 +185,7 @@ def _check_degrees(n: int, gens: list[SparsePoly],
     if bound < 0:
         raise ValueError("a negative degree bound leaves no degree to check")
     prepared = _prepared(gens, n)
-    masks = _sign_masks(characters)
+    masks = [eps.mask for eps in characters]
     records = []
     for b in degrees_up_to(n, bound):
         fiber = _raw_fiber(2, n, b)
@@ -310,8 +300,7 @@ def higher_torsion(d: int, n: int) -> list[int]:
     grading; the ambient lattice is the integer kernel of the grading
     matrix.  Factors equal to one are dropped.
     """
-    gens = higher_veronese_gens(d, n)
-    sub = generator_lattice(gens)
+    sub = generator_lattice(higher_veronese_gens(d, n))
     ambient = kernel_lattice(veronese_matrix(d, n).matrix)
     return invariant_factors(sub, ambient)
 

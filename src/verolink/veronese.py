@@ -1,11 +1,13 @@
 """Grading matrices and lattice combinatorics of symmetric-pair variables.
 
-Variables are indexed by weight-d multisets over [n]; for the default
-weight d = 2 these are the unordered pairs (i, j) with ``i <= j``, the
-entries of a symmetric matrix read upper-triangularly (so the (i, j)
-and (j, i) positions name the same variable).  All dense vectors in the
-package use one fixed column order: multisets sorted lexicographically,
-e.g. (1,1), (1,2), (1,3), (2,2), (2,3), (3,3) for d = 2, n = 3.
+Grading columns are indexed by weight-d multisets over [n].  Monomials
+live in the weight-2 ring, whose variables are the unordered pairs
+(i, j) with ``i <= j``, the entries of a symmetric matrix read
+upper-triangularly (so the (i, j) and (j, i) positions name the same
+variable); weight d enters only through the grading matrix and its
+lattice.  All dense vectors in the package use one fixed column order:
+multisets sorted lexicographically, e.g. (1,1), (1,2), (1,3), (2,2),
+(2,3), (3,3) for d = 2, n = 3.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
+from operator import add
 
 from .errors import IndexOutOfRange, SizeCapExceeded
 from .exactlin import IntMatrix
@@ -100,22 +103,21 @@ class Monomial:
     """Exponent vector of a monomial, dense in the fixed column order.
 
     All exponents are nonnegative; ``exps[k]`` is the exponent of the
-    k-th variable of ``variable_multisets(d, n)``.
+    k-th pair variable of ``variable_multisets(2, n)``.
     """
 
     n: int
     exps: tuple[int, ...]
-    d: int = 2
 
     def __post_init__(self):
-        if len(self.exps) != len(variable_multisets(self.d, self.n)):
+        if len(self.exps) != len(variable_multisets(2, self.n)):
             raise IndexOutOfRange("exponent vector length does not match n")
-        if any(e < 0 for e in self.exps):
+        if min(self.exps) < 0:
             raise ValueError("negative exponent")
 
     @classmethod
-    def one(cls, n: int, d: int = 2) -> "Monomial":
-        return cls(n, (0,) * len(variable_multisets(d, n)), d)
+    def one(cls, n: int) -> "Monomial":
+        return cls(n, (0,) * len(variable_multisets(2, n)))
 
     @classmethod
     def variable(cls, n: int, i: int, j: int) -> "Monomial":
@@ -130,11 +132,11 @@ class Monomial:
         return cls(n, tuple(exps))
 
     def get(self, i: int, j: int) -> int:
-        return self.exps[column_position(self.d, self.n)[pair(i, j)]]
+        return self.exps[column_position(2, self.n)[pair(i, j)]]
 
     def support(self):
         """Yield (multiset, exponent) over nonzero positions."""
-        cols = variable_multisets(self.d, self.n)
+        cols = variable_multisets(2, self.n)
         for k, e in enumerate(self.exps):
             if e:
                 yield cols[k], e
@@ -142,7 +144,7 @@ class Monomial:
     def degree(self) -> tuple[int, ...]:
         """Multidegree under the Veronese grading (row-count vector)."""
         deg = [0] * self.n
-        supports = column_supports(self.d, self.n)
+        supports = column_supports(2, self.n)
         for k, e in enumerate(self.exps):
             if e:
                 for row, mult in supports[k]:
@@ -156,10 +158,9 @@ class Monomial:
         return all(e == 0 for e in self.exps)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        if (self.n, self.d) != (other.n, other.d):
+        if self.n != other.n:
             raise IndexOutOfRange("monomials over different variable sets")
-        return Monomial(self.n, tuple(a + b for a, b in zip(self.exps, other.exps)),
-                        self.d)
+        return Monomial(self.n, tuple(map(add, self.exps, other.exps)))
 
     __mul__ = mul
 

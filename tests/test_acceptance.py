@@ -21,8 +21,7 @@ from verolink.poly import (SignCharacter, SparsePoly, all_characters,
                            in_principal_minor_ideal, normal_form, parse_poly,
                            render_poly)
 from verolink.veronese import (Monomial, basis_matrix, pair_count,
-                               principal_minor_basis, veronese_lattice_basis,
-                               veronese_matrix)
+                               principal_minor_basis, veronese_lattice_basis)
 from verolink.verify import (group_algebra_subintersection, higher_torsion,
                              verify_decomposition, verify_link)
 
@@ -123,12 +122,11 @@ def test_criterion_07_polynomial_identities():
 
 def test_criterion_08_oracle_equivalence():
     for n in (3, 4):
-        V = veronese_matrix(2, n)
         moves = principal_moves(n)
         for b in degrees_up_to(n, 10):
-            walk = connectivity_classes(V, b, moves)
+            walk = connectivity_classes(n, b, moves)
             by_key = {}
-            for m in enumerate_fiber(V, b):
+            for m in enumerate_fiber(n, b):
                 by_key.setdefault(class_key(m), set()).add(m.exps)
             assert sorted(sorted(x.exps for x in comp) for comp in walk) \
                 == sorted(sorted(g) for g in by_key.values())

@@ -203,6 +203,19 @@ def test_malformed_sign_spec_is_a_usage_error(capsys, monkeypatch, spec):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("spec", ["10:-", "00:-", "01:+"])
+@pytest.mark.parametrize("argv", [
+    ["twist", "--signs"],
+    ["verify-link", "-n", "3", "--bound", "2", "--omit"],
+    ["member", "--ideal", "veronese", "-n", "3", "--eps"]])
+def test_sign_index_zero_is_a_usage_error(capsys, monkeypatch, argv, spec):
+    # Indices run from 1; a 0 names no variable and must not be dropped.
+    code, out, err = run(capsys, argv + [spec], stdin="x11*x23 + x12*x13",
+                         monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert spec in err
+
+
 @pytest.mark.parametrize("command", ["verify-link", "verify-decomp"])
 def test_bound_without_degrees_is_a_usage_error(capsys, command):
     code, out, err = run(capsys, [command, "-n", "3", "--bound", "-2"])

@@ -102,48 +102,30 @@ def test_higher_gens_weight2_matches_principal_lattice():
     from verolink.exactlin import column_lattice_basis
     for n in (2, 3, 4):
         higher = generator_lattice(higher_veronese_gens(2, n))
-        principal = generator_lattice(principal_minor_gens(n))
+        principal = generator_lattice(
+            [binomial_exponent_vector(g) for g in principal_minor_gens(n)])
         assert column_lattice_basis(higher).columns() \
             == column_lattice_basis(principal).columns()
 
 
 def test_higher_gens_small_goldens():
-    gens = higher_veronese_gens(2, 2)
-    assert len(gens) == 1
-    terms = {m.exps: c for m, c in gens[0].terms.items()}
     # x12^2 - x11 x22 in the weight-2 column order (11), (12), (22).
-    assert terms == {(0, 2, 0): 1, (1, 0, 1): -1}
-
-    gens = higher_veronese_gens(3, 2)
-    assert len(gens) == 2
-    cols = variable_multisets(3, 2)
-    assert cols == ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
-    by_exps = {tuple(m.exps for m, _ in g.sorted_terms()): g for g in gens}
-    # x_(2,1)^3 - x_(3,0)^2 x_(0,3) and x_(1,2)^3 - x_(3,0) x_(0,3)^2.
-    assert (0, 3, 0, 0) in {e for exps in by_exps for e in exps}
-    for g in gens:
-        plus, minus = g.sorted_terms()[0][0], g.sorted_terms()[1][0]
-        assert sum(plus.exps) == 3
-        assert sum(minus.exps) == 3
+    assert higher_veronese_gens(2, 2) == [(-1, 2, -1)]
 
 
-def test_higher_gens_term_values():
-    # Rendering orders by descending exponent tuples, so the diagonal
-    # product leads each binomial.
-    gens = higher_veronese_gens(3, 2)
-    rendered = {str(g) for g in gens}
-    assert rendered == {
-        "-x111*x111*x222 + x112*x112*x112",
-        "-x111*x222*x222 + x122*x122*x122",
-    }
+def test_higher_gens_vectors_d3_n2():
+    # x112^3 - x111^2 x222 and x122^3 - x111 x222^2 in the weight-3
+    # column order (111), (112), (122), (222).
+    assert variable_multisets(3, 2) == ((1, 1, 1), (1, 1, 2), (1, 2, 2),
+                                        (2, 2, 2))
+    assert higher_veronese_gens(3, 2) == [(-2, 3, 0, -1), (-1, 0, 3, -2)]
 
 
 def test_higher_gens_count_d3_n4():
     gens = higher_veronese_gens(3, 4)
     assert len(gens) == 16  # 20 columns minus the 4 diagonal ones
     V = veronese_matrix(3, 4)
-    for g in gens:
-        vec = binomial_exponent_vector(g)
+    for vec in gens:
         assert V.matrix.mul_vector(vec) == (0, 0, 0, 0)
 
 

@@ -82,9 +82,8 @@ def test_fiber_poly_index_errors():
 def test_fiber_poly_keeps_the_canonical_member_of_each_class(n, i):
     from verolink.fibers import (canonical_representative, fiber_classes,
                                  minimal_saturated_fibers)
-    from verolink.veronese import veronese_matrix
     b = minimal_saturated_fibers(n)[i - 1]
-    classes = fiber_classes(veronese_matrix(2, n), b)
+    classes = fiber_classes(n, b)
     expected = SparsePoly(n, {canonical_representative(c): 1 for c in classes})
     assert saturated_fiber_poly(n, i) == expected
 

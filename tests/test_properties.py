@@ -1,0 +1,97 @@
+"""Property tests of class keys, twisting, the text grammar and characters.
+
+Runs derandomized, so every run draws the same examples; skipped when
+hypothesis is not installed.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from verolink.fibers import class_key, enumerate_fiber
+from verolink.poly import (SignCharacter, SparsePoly, Twisting,
+                           character_pairs, character_value, parse_poly,
+                           render_poly, twist)
+from verolink.veronese import Monomial, pair_count, variable_multisets
+
+PROPERTY = settings(derandomize=True, deadline=None)
+
+sizes = st.integers(min_value=3, max_value=5)
+
+
+@st.composite
+def monomials(draw, n, max_vars=6):
+    """A product of up to ``max_vars`` variables of the weight-2 ring."""
+    cols = variable_multisets(2, n)
+    exps = [0] * len(cols)
+    for k in draw(st.lists(st.integers(0, len(cols) - 1), max_size=max_vars)):
+        exps[k] += 1
+    return Monomial(n, tuple(exps))
+
+
+@st.composite
+def polys(draw, n):
+    coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(monomials(n), coeffs), max_size=6))
+    return SparsePoly(n, dict(terms))
+
+
+def characters(n):
+    signs = st.lists(st.sampled_from((1, -1)), min_size=pair_count(n - 1),
+                     max_size=pair_count(n - 1))
+    return signs.map(lambda s: SignCharacter(n, tuple(s)))
+
+
+def parity_tuple(m: Monomial) -> tuple[int, ...]:
+    """The class parities in character-pair order, read pair by pair."""
+    return tuple(m.get(i, j) & 1 for i, j in character_pairs(m.n))
+
+
+@PROPERTY
+@given(st.data())
+def test_class_key_of_a_product_adds_degrees_and_xors_parities(data):
+    n = data.draw(sizes)
+    m1, m2 = data.draw(monomials(n)), data.draw(monomials(n))
+    k1, k2, k = class_key(m1), class_key(m2), class_key(m1 * m2)
+    assert k.degree == tuple(a + b for a, b in zip(k1.degree, k2.degree))
+    assert k.parities == k1.parities ^ k2.parities
+    # Bit j of the mask is the j-th pair of ``character_pairs``.
+    assert [k.parities >> j & 1 for j in range(pair_count(n - 1))] \
+        == list(parity_tuple(m1 * m2))
+
+
+@PROPERTY
+@given(st.data())
+def test_twist_is_an_involution(data):
+    n = data.draw(sizes)
+    p = data.draw(polys(n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    signs = data.draw(st.dictionaries(st.sampled_from(pairs),
+                                      st.sampled_from((1, -1))))
+    t = Twisting(n, signs)
+    assert twist(twist(p, t), t) == p
+
+
+@PROPERTY
+@given(st.data())
+def test_parse_inverts_render(data):
+    n = data.draw(sizes)
+    p = data.draw(polys(n))
+    assert parse_poly(render_poly(p), n) == p
+
+
+@PROPERTY
+@given(st.data())
+def test_character_value_is_the_sign_product_over_differing_parities(data):
+    n = data.draw(sizes)
+    u = data.draw(monomials(n))
+    u0 = data.draw(st.sampled_from(enumerate_fiber(n, u.degree())))
+    eps = data.draw(characters(n))
+    expected = 1
+    for s, a, b in zip(eps.signs, parity_tuple(u), parity_tuple(u0)):
+        if a != b and s < 0:
+            expected = -expected
+    assert character_value(eps, u, u0) == expected

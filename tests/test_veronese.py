@@ -2,7 +2,7 @@
 
 import pytest
 
-from verolink.errors import SizeCapExceeded
+from verolink.errors import IndexOutOfRange, SizeCapExceeded
 from verolink.exactlin import smith_normal_form
 from verolink.veronese import (Monomial, basis_matrix,
                                check_size, minor_vector, pair_count,
@@ -120,6 +120,17 @@ def test_monomial_pair_normalization():
     u = Monomial.from_pairs(3, {(3, 1): 2})
     assert u.get(1, 3) == 2
     assert str(u) == "x13*x13"
+
+
+def test_polynomials_live_in_the_weight_two_ring():
+    # Weight d belongs to gradings and lattices, not to monomials.
+    from verolink.poly import SparsePoly
+    assert set(Monomial.__dataclass_fields__) == {"n", "exps"}
+    assert SparsePoly.__slots__ == ("n", "terms")
+    with pytest.raises(ValueError):
+        Monomial(2, (0, -1, 0))
+    with pytest.raises(IndexOutOfRange):
+        Monomial(2, (0, 1))
 
 
 def test_monomial_multiplication():
