@@ -22,7 +22,8 @@ DEFAULT_SIZE_CAP = 10 ** 6
 
 
 def size_cap() -> int:
-    """Fiber-point cap, the one size limit of the package.
+    """Fiber-point cap, the one size limit of the package; the class
+    search of ``_class_maxima`` counts its nodes against it.
 
     VLAB_SIZE_CAP overrides the default and must be a non-negative
     integer; anything else raises ValueError naming the variable.
@@ -130,6 +131,76 @@ def _parity_positions(n: int) -> tuple[int, ...]:
     pos = column_position(2, n)
     return tuple(pos[(i, j)] for i in range(1, n)
                  for j in range(i + 1, n))[::-1]
+
+
+def _class_maxima(n: int, b: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """The largest exponent tuple of each parity class in the fiber of b,
+    keyed by its ``off_diagonal_parities``, without enumerating the fiber.
+
+    The DFS of ``_raw_fiber`` with exponents tried from high to low, so
+    points come in descending order and the first of each parity mask is
+    its class maximum.  The parity columns come in pair order, bit k at
+    the k-th pair, so a node has fixed the low bits of the mask; it is
+    skipped once every completion of those bits has been found.  Raises
+    SizeCapExceeded once the visited nodes pass ``size_cap()``.
+    """
+    check_size(2, n)
+    limit = size_cap()
+    if len(b) != n:
+        raise SizeMismatch("degree length differs from n")
+    if any(x < 0 for x in b) or sum(b) % 2:
+        return {}
+    supports, finishing = _fiber_plan(2, n)
+    ncols = len(supports)
+    bit_of = {p: k for k, p in enumerate(reversed(_parity_positions(n)))}
+    nbits = len(bit_of)
+    # fixed[c]: parity bits fixed before column c; found[f][prefix]:
+    # classes found whose mask has the low f bits ``prefix``.
+    fixed = [sum(p < c for p in bit_of) for c in range(ncols + 1)]
+    found: list[dict[int, int]] = [{} for _ in range(nbits + 1)]
+    residual = list(b)
+    exps = [0] * ncols
+    maxima: dict[int, tuple[int, ...]] = {}
+    visited = 0
+
+    def rec(c: int, prefix: int) -> None:
+        nonlocal visited
+        f = fixed[c]
+        if found[f].get(prefix, 0) == 1 << (nbits - f):
+            return
+        visited += 1
+        if visited > limit:
+            raise SizeCapExceeded(
+                f"class search in the fiber of {b} exceeds the size cap {limit}")
+        if c == ncols:
+            maxima[prefix] = tuple(exps)
+            for g in range(nbits + 1):
+                low = prefix & ((1 << g) - 1)
+                found[g][low] = found[g].get(low, 0) + 1
+            return
+        sup = supports[c]
+        hi = min(residual[row - 1] // mult for row, mult in sup)
+        lo = 0
+        for row in finishing[c]:
+            mult = next(m for r, m in sup if r == row)
+            if residual[row - 1] % mult:
+                return
+            forced = residual[row - 1] // mult
+            if forced < lo or forced > hi:
+                return
+            lo = hi = forced
+        bit = bit_of.get(c)
+        for e in range(hi, lo - 1, -1):
+            for row, mult in sup:
+                residual[row - 1] -= mult * e
+            exps[c] = e
+            rec(c + 1, prefix if bit is None else prefix | (e & 1) << bit)
+            exps[c] = 0
+            for row, mult in sup:
+                residual[row - 1] += mult * e
+
+    rec(0, 0)
+    return maxima
 
 
 def off_diagonal_parities(exps: tuple[int, ...], n: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotOdd, SizeMismatch
-from .fibers import _raw_fiber, minimal_saturated_fibers, off_diagonal_parities
+from .fibers import _class_maxima, minimal_saturated_fibers
 from .ideals import principal_minor_gens
 from .poly import (SignCharacter, SparsePoly, normal_form, twist,
                    twisting_from_character)
@@ -56,7 +56,8 @@ def saturated_fiber_poly(n: int, i: int) -> SparsePoly:
     One canonical monomial per equivalence class, coefficient one; the
     canonical member is the dictionary-least monomial of its class.
     The term count is exactly 2**binom(n-1, 2).  For even n the single
-    minimal fiber is addressed as i = 1.
+    minimal fiber is addressed as i = 1.  The members come from the
+    class search of ``_class_maxima``, not from the whole fiber.
     """
     if n < 3:
         raise IndexOutOfRange("need n >= 3")
@@ -69,10 +70,7 @@ def saturated_fiber_poly(n: int, i: int) -> SparsePoly:
         if not 1 <= i <= n:
             raise IndexOutOfRange(f"index {i} outside [1, {n}]")
         b = degrees[i - 1]
-    # The raw fiber comes out ascending, so the last point kept per
-    # parity key is the class's largest exponent tuple.
-    canonical = {off_diagonal_parities(e, n): e for e in _raw_fiber(2, n, b)}
-    return SparsePoly(n, {Monomial(n, e): 1 for e in canonical.values()})
+    return SparsePoly(n, {Monomial(n, e): 1 for e in _class_maxima(n, b).values()})
 
 
 def check_saturation_identity(n: int) -> bool:

@@ -9,6 +9,9 @@ coefficient sums.  Generators are scaled to integer coefficients and
 character values are +-1, so every matrix here is an integer one.  A
 span lies in a common kernel when one exact integer product vanishes,
 and equality then follows from a dimension count, each one a rank.
+``_decide_degree`` finds those ranks and that product on class data;
+the subspaces over the fiber points (``ideal_degree_piece``,
+``subintersection_degree_piece``) are the tests' oracle.
 """
 
 from __future__ import annotations
@@ -98,7 +101,10 @@ def _character_rows(n: int, fiber: list[tuple[int, ...]],
     of exponent tuples, relative to its canonical (largest) point: -1
     where an odd number of the parity bits that differ from that point's
     carry a minus sign.  Masks that agree on the bits that vary over the
-    fiber give one row, which keeps the row space."""
+    fiber give one row, which keeps the row space.  An empty fiber, off
+    the grading monoid, gives the 0x0 matrix."""
+    if not fiber:
+        return IntMatrix([], cols=0)
     base = off_diagonal_parities(max(fiber), n)
     diffs = [off_diagonal_parities(exps, n) ^ base for exps in fiber]
     varying = reduce(or_, diffs)
@@ -176,6 +182,109 @@ class VerificationReport:
         }
 
 
+def _split_edges(prepared: list[tuple]) -> tuple[list[tuple], list[tuple]]:
+    """Prepared generators split into edges and the rest.
+
+    A binomial c*(x^u0 - x^(u0+du)) makes every column m*g an edge
+    vector c*(e_p - e_(p+du)); it is kept as du and the (position,
+    exponent) support of u0.  Every principal minor is one."""
+    edges, others = [], []
+    for u0, offsets in prepared:
+        if len(offsets) == 2 and offsets[0][1] == -offsets[1][1]:
+            edges.append(([(k, v) for k, v in enumerate(u0) if v],
+                          offsets[1][0]))
+        else:
+            others.append((u0, offsets))
+    return edges, others
+
+
+def _walsh_rank(diffs: set[int], restricted: set[int], varying: int) -> int:
+    """Rank of the +-1 rows (-1)^popcount(m & d), m in ``restricted``,
+    on the columns d in ``diffs``; both are sets of masks inside the
+    ``varying`` bits.
+
+    Over all 2^v masks of v bits these rows form a Hadamard matrix, so
+    any set of its columns is independent.  Without one row m*, the only
+    dependency among all columns is the row of m* itself, which has no
+    zero entry, so it needs every column.  Other cases are eliminated."""
+    full = 1 << varying.bit_count()
+    if len(restricted) == full:
+        return len(diffs)
+    if len(restricted) == full - 1:
+        return len(diffs) - (len(diffs) == full)
+    cols = sorted(diffs)
+    return rational_rank(IntMatrix(
+        [[-1 if (d & m).bit_count() & 1 else 1 for d in cols]
+         for m in sorted(restricted)], cols=len(cols)))
+
+
+def _decide_degree(b: tuple[int, ...], n: int, edges: list[tuple],
+                   others: list[tuple], masks: list[int]) -> DegreeRecord:
+    """One degree of ``_check_degrees``, decided on class data.
+
+    The same ranks and product as the fiber route of ``_columns`` and
+    ``_character_rows``, which stays as the tests' oracle:
+    - the edge columns span |fiber| - C dimensions, for the C components
+      of their graph on the fiber, and the quotient by that span sums
+      the coordinates of each component, so the other columns add the
+      rank of their component sums;
+    - a character row depends on a point only through its parity diff,
+      so its rank is ``_walsh_rank`` on the distinct diffs;
+    - the characters kill an edge when they agree on its two ends, and
+      another column when they kill its sums per parity diff."""
+    fiber = _raw_fiber(2, n, b)
+    if not fiber:
+        return DegreeRecord(degree=b, fiber_size=0, ideal_dim=0,
+                            target_dim=0, equal=True)
+    index = {p: k for k, p in enumerate(fiber)}
+    parent = list(range(len(fiber)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # Relative to the largest point, as in ``_character_rows``.
+    base = off_diagonal_parities(fiber[-1], n)
+    diff = [off_diagonal_parities(p, n) ^ base for p in fiber]
+    edge_diffs = set()
+    for support, du in edges:
+        for k, p in enumerate(fiber):
+            if all(p[i] >= v for i, v in support):
+                j = index[tuple(map(add, p, du))]
+                edge_diffs.add(diff[k] ^ diff[j])
+                parent[find(j)] = find(k)
+    roots = {}
+    component = [roots.setdefault(find(k), len(roots)) for k in range(len(fiber))]
+    sums, class_sums = [], []
+    for u0, offsets in others:
+        for p in fiber:
+            if all(map(ge, p, u0)):
+                vec, by_diff = [0] * len(roots), {}
+                for du, c in offsets:
+                    k = index[tuple(map(add, p, du))]
+                    vec[component[k]] += c
+                    by_diff[diff[k]] = by_diff.get(diff[k], 0) + c
+                sums.append(vec)
+                class_sums.append(by_diff)
+    extra = rational_rank(IntMatrix.from_columns(sums)) if sums else 0
+    di = len(fiber) - len(roots) + extra
+
+    varying = reduce(or_, diff)
+    restricted = {m & varying for m in masks}
+    dt = len(fiber) - _walsh_rank(set(diff), restricted, varying)
+
+    equal = (di == dt
+             and not any((m & e).bit_count() & 1
+                         for e in edge_diffs for m in restricted)
+             and not any(sum(-c if (d & m).bit_count() & 1 else c
+                             for d, c in by_diff.items())
+                         for by_diff in class_sums for m in restricted))
+    return DegreeRecord(degree=b, fiber_size=len(fiber), ideal_dim=di,
+                        target_dim=dt, equal=equal)
+
+
 def _check_degrees(n: int, gens: list[SparsePoly],
                    characters: list[SignCharacter], bound: int
                    ) -> tuple[DegreeRecord, ...]:
@@ -184,19 +293,10 @@ def _check_degrees(n: int, gens: list[SparsePoly],
     has the kernel's dimension.  A negative bound raises ValueError."""
     if bound < 0:
         raise ValueError("a negative degree bound leaves no degree to check")
-    prepared = _prepared(gens, n)
+    edges, others = _split_edges(_prepared(gens, n))
     masks = [eps.mask for eps in characters]
-    records = []
-    for b in degrees_up_to(n, bound):
-        fiber = _raw_fiber(2, n, b)
-        cols = _columns(prepared, fiber)
-        chars = _character_rows(n, fiber, masks)
-        di = rational_rank(cols)
-        dt = len(fiber) - rational_rank(chars)
-        equal = di == dt and chars.mul(cols).is_zero()
-        records.append(DegreeRecord(degree=b, fiber_size=len(fiber),
-                                    ideal_dim=di, target_dim=dt, equal=equal))
-    return tuple(records)
+    return tuple(_decide_degree(b, n, edges, others, masks)
+                 for b in degrees_up_to(n, bound))
 
 
 def verify_link(n: int, omitted: SignCharacter, total_degree_bound: int

@@ -277,6 +277,14 @@ RECORD_STREAM_DIGESTS = {
         "ebb04058f345213d2235d671c44466be61bfc3a24313fe89f64847f49379dabf",
     "pplus -n 3 -i 1":
         "b446844f375f6125379c6bd24e1c9559a91c4735293d970beafcb36c25b7fb86",
+    "verify-link -n 5 --bound 8":
+        "9becf2671033c31c69923fd45ed5a3331ed4483ff19f58b76f1e1f53ad0f6991",
+    "verify-decomp -n 6 --bound 4":
+        "e43881956af94cabc7534ff8a588428399c6b541e57752f6a0c275d49cdd2cf8",
+    "verify-link -n 6 --bound 4 --omit 12:-,13:+,14:-,15:+,23:+,24:-,25:-,34:+,35:+,45:-":
+        "e43881956af94cabc7534ff8a588428399c6b541e57752f6a0c275d49cdd2cf8",
+    "pplus -n 5 -i 3":
+        "9ed34c316f152698a49647b472ae45a7e81b6eb92a8c376bb7c448570d39fa4f",
 }
 
 

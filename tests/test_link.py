@@ -5,7 +5,8 @@ from itertools import permutations
 
 import pytest
 
-from verolink.errors import IndexOutOfRange, NotOdd
+from verolink.errors import IndexOutOfRange, NotOdd, SizeCapExceeded
+from verolink.fibers import off_diagonal_parities
 from verolink.link import (check_saturation_identity, check_syzygy,
                            link_generators, saturated_fiber_poly,
                            saturation_exponent, zonotope_poly)
@@ -183,3 +184,22 @@ def test_colon_products_fall_into_minor_ideal(n):
         p = saturated_fiber_poly(n, i)
         for g in minors:
             assert in_principal_minor_ideal(p * g)
+
+
+def test_fiber_poly_n7_by_class_search():
+    # The fiber of (6,5,5,5,5,5,5) has 22M points; the class search
+    # visits a few hundred thousand nodes, under the default size cap.
+    p = saturated_fiber_poly(7, 1)
+    assert len(p.terms) == 2 ** 15
+    assert len({off_diagonal_parities(m.exps, 7) for m in p.terms}) == 2 ** 15
+    assert {m.degree() for m in p.terms} == {(6, 5, 5, 5, 5, 5, 5)}
+
+
+def test_the_size_cap_counts_search_nodes(monkeypatch):
+    # 43,581 points in the n = 6 fiber, but fewer than 10,000 nodes.
+    expected = saturated_fiber_poly(6, 1)
+    monkeypatch.setenv("VLAB_SIZE_CAP", "10000")
+    assert saturated_fiber_poly(6, 1) == expected
+    monkeypatch.setenv("VLAB_SIZE_CAP", "1000")
+    with pytest.raises(SizeCapExceeded):
+        saturated_fiber_poly(6, 1)

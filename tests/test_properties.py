@@ -1,4 +1,5 @@
-"""Property tests of class keys, twisting, the text grammar and characters.
+"""Property tests of class keys, twisting, the text grammar, characters,
+the class search and the class route of the degree check.
 
 Runs derandomized, so every run draws the same examples; skipped when
 hypothesis is not installed.
@@ -11,15 +12,22 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from verolink.fibers import class_key, enumerate_fiber
+from verolink.exactlin import contains_column_space
+from verolink.fibers import (_class_maxima, _raw_fiber, class_key,
+                             enumerate_fiber, off_diagonal_parities)
+from verolink.link import link_generators
 from verolink.poly import (SignCharacter, SparsePoly, Twisting,
-                           character_pairs, character_value, parse_poly,
-                           render_poly, twist)
+                           all_characters, character_pairs, character_value,
+                           parse_poly, render_poly, twist)
 from verolink.veronese import Monomial, pair_count, variable_multisets
+from verolink.verify import (_decide_degree, _prepared, _split_edges,
+                             ideal_degree_piece, subintersection_degree_piece)
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
 sizes = st.integers(min_value=3, max_value=5)
+# Cut to the first n entries for a degree of size n.
+degrees = st.lists(st.integers(0, 5), min_size=5, max_size=5)
 
 
 @st.composite
@@ -95,3 +103,31 @@ def test_character_value_is_the_sign_product_over_differing_parities(data):
         if a != b and s < 0:
             expected = -expected
     assert character_value(eps, u, u0) == expected
+
+
+@PROPERTY
+@given(st.data())
+def test_class_search_finds_the_largest_point_of_every_class(data):
+    n = data.draw(sizes)
+    b = tuple(data.draw(degrees)[:n])
+    expected = {off_diagonal_parities(e, n): e for e in _raw_fiber(2, n, b)}
+    assert _class_maxima(n, b) == expected
+
+
+@PROPERTY
+@given(st.data())
+def test_class_route_equals_the_public_fiber_route(data):
+    # Odd sums included: both routes then give the empty piece.
+    n = data.draw(st.integers(3, 4))
+    b = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    omitted = data.draw(characters(n))
+    gens = link_generators(n, omitted).all_gens()
+    masks = [eps.mask for eps in all_characters(n) if eps != omitted]
+    record = _decide_degree(b, n, *_split_edges(_prepared(gens, n)), masks)
+    ideal = ideal_degree_piece(gens, n, b)
+    target = subintersection_degree_piece(n, omitted, b)
+    assert record.fiber_size == len(ideal.fiber) == len(target.fiber)
+    assert record.ideal_dim == ideal.dimension()
+    assert record.target_dim == target.dimension()
+    assert record.equal == (record.ideal_dim == record.target_dim and
+                            contains_column_space(target.vectors, ideal.vectors))

@@ -48,6 +48,14 @@ def test_subintersection_piece_goldens():
     assert subintersection_degree_piece(4, trivial4, (1, 1, 1, 1)).dimension() == 0
 
 
+@pytest.mark.parametrize("b", [(1, 0, 0), (-1, 1, 0)])
+def test_subintersection_piece_off_the_monoid_is_empty(b):
+    piece = subintersection_degree_piece(3, SignCharacter.trivial(3), b)
+    assert piece == ideal_degree_piece(principal_minor_gens(3), 3, b)
+    assert piece.fiber == ()
+    assert (piece.vectors.rows, piece.vectors.cols) == (0, 0)
+
+
 def test_verify_link_trivial_small_bound():
     report = verify_link(3, SignCharacter.trivial(3), 2)
     assert report.verdict
@@ -148,6 +156,17 @@ def test_fiber_is_enumerated_once_per_degree(monkeypatch):
     report = verify_link(3, SignCharacter.trivial(3), 6)
     assert report.verdict
     assert calls == [r.degree for r in report.records]
+
+
+def test_the_decomposition_is_decided_without_elimination(monkeypatch):
+    # Every degree of J_n against all characters is decided by
+    # union-find and a Walsh count; no matrix is eliminated.
+    import verolink.verify as verify
+
+    def refuse(matrix):
+        raise AssertionError("rational_rank called")
+    monkeypatch.setattr(verify, "rational_rank", refuse)
+    assert verify_decomposition(5, 8).verdict
 
 
 def test_verify_decomposition_bound_zero():
