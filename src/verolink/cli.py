@@ -58,7 +58,8 @@ def poly_from_json(data, n: int | None = None) -> SparsePoly:
 # -- spec parsing -------------------------------------------------------
 
 def parse_sign_spec(spec: str) -> dict[tuple[int, int], int]:
-    """Parse comma-separated signed pairs, e.g. ``12:-,13:+``."""
+    """Parse comma-separated signed pairs, e.g. ``12:-,13:+``; a pair
+    given twice, in either order, is an error."""
     out = {}
     if not spec:
         return out
@@ -72,8 +73,10 @@ def parse_sign_spec(spec: str) -> dict[tuple[int, int], int]:
             raise ValueError(f"bad sign entry {item!r}; expected like '12:-'")
         if sign not in ("+", "-"):
             raise ValueError(f"bad sign {sign!r} in {item!r}")
-        i, j = int(key[0]), int(key[1])
-        out[pair(i, j)] = 1 if sign == "+" else -1
+        p = pair(int(key[0]), int(key[1]))
+        if p in out:
+            raise ValueError(f"pair {key} given twice in {spec!r}")
+        out[p] = 1 if sign == "+" else -1
     return out
 
 

@@ -13,17 +13,20 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import comb
 
 from .errors import IndexOutOfRange, SizeCapExceeded, SizeMismatch
 from .veronese import (LatticeVector, Monomial, check_size, column_position,
-                       column_supports, minor_vector)
+                       column_supports, minor_vector, variable_multisets)
 
 DEFAULT_SIZE_CAP = 10 ** 6
 
 
 def size_cap() -> int:
     """Fiber-point cap, the one size limit of the package; the class
-    search of ``_class_maxima`` counts its nodes against it.
+    search of ``_class_maxima`` counts its nodes against it, and
+    ``_check_level`` the monomials of a degree level.
 
     VLAB_SIZE_CAP overrides the default and must be a non-negative
     integer; anything else raises ValueError naming the variable.
@@ -123,6 +126,46 @@ def enumerate_fiber(n: int, b) -> list[Monomial]:
     once the solution count passes ``size_cap()``.
     """
     return [Monomial(n, exps) for exps in _raw_fiber(2, n, tuple(b))]
+
+
+def _check_level(n: int, s: int) -> None:
+    """Raise SizeCapExceeded when the monomials of even coordinate sum s,
+    the multisets of s/2 of the binom(n+1, 2) columns, pass
+    ``size_cap()``."""
+    check_size(2, n)
+    limit = size_cap()
+    count = comb(comb(n + 1, 2) + s // 2 - 1, s // 2)
+    if count > limit:
+        raise SizeCapExceeded(f"the {count} monomials of coordinate sum {s} "
+                              f"exceed the size cap {limit}")
+
+
+def _fibers_of_sum(n: int, s: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Every nonempty fiber of coordinate sum s, keyed by its degree, each
+    as ``_raw_fiber`` gives it, from one pass over the monomials of total
+    degree s/2: each is made once, and no branch of a search dies.
+
+    ``combinations_with_replacement`` gives the column multisets in
+    lexicographic order, which is descending order on exponent tuples,
+    so each degree's bucket is reversed.  Raises SizeCapExceeded when
+    the level has more monomials than ``size_cap()``.
+    """
+    if s < 0 or s % 2:
+        return {}
+    _check_level(n, s)
+    rows = [tuple(i - 1 for i in ms) for ms in variable_multisets(2, n)]
+    ncols, r = len(rows), s // 2
+    fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for combo in combinations_with_replacement(range(ncols), r):
+        exps, degree = [0] * ncols, [0] * n
+        for c in combo:
+            exps[c] += 1
+            for i in rows[c]:
+                degree[i] += 1
+        fibers.setdefault(tuple(degree), []).append(tuple(exps))
+    for fiber in fibers.values():
+        fiber.reverse()
+    return fibers
 
 
 @lru_cache(maxsize=None)
@@ -353,8 +396,11 @@ def degrees_up_to(n: int, bound: int):
 def hilbert_table(n: int, max_sum: int):
     """Per-degree fiber sizes and class counts up to a coordinate sum.
 
-    Yields (degree, fiber size, class count, saturated flag) rows.
+    Yields (degree, fiber size, class count, saturated flag) rows.  A
+    negative max sum raises ValueError.
     """
+    if max_sum < 0:
+        raise ValueError("a negative max sum leaves no degree to tabulate")
     for b in degrees_up_to(n, max_sum):
         raw = _raw_fiber(2, n, b)
         classes = len({off_diagonal_parities(e, n) for e in raw})

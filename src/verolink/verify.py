@@ -16,21 +16,23 @@ the subspaces over the fiber points (``ideal_degree_piece``,
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from itertools import groupby
 from operator import add, ge, or_, sub
 
 from .errors import IndexOutOfRange, SizeMismatch
 from .exactlin import (IntMatrix, clear_denominators, invariant_factors,
                        kernel_lattice, rational_nullspace, rational_rank)
-from .fibers import (_raw_fiber, degrees_up_to, enumerate_fiber,
-                     off_diagonal_parities)
+from .fibers import (_check_level, _fibers_of_sum, degrees_up_to,
+                     enumerate_fiber, off_diagonal_parities)
 from .ideals import (generator_lattice, higher_veronese_gens,
                      principal_minor_gens, veronese_minor_gens)
 from .link import link_generators
 from .poly import (SignCharacter, SparsePoly, all_characters,
                    in_principal_minor_ideal, multidegree)
-from .veronese import Monomial, veronese_matrix
+from .veronese import Monomial, pair_count, veronese_matrix
 
 
 @dataclass(frozen=True)
@@ -218,9 +220,20 @@ def _walsh_rank(diffs: set[int], restricted: set[int], varying: int) -> int:
          for m in sorted(restricted)], cols=len(cols)))
 
 
-def _decide_degree(b: tuple[int, ...], n: int, edges: list[tuple],
-                   others: list[tuple], masks: list[int]) -> DegreeRecord:
-    """One degree of ``_check_degrees``, decided on class data.
+def _restrictor(masks: Sequence[int]):
+    """The set {m & varying} over the character masks, as a function of
+    ``varying`` that computes it once per distinct value."""
+    @cache
+    def restrict(varying: int) -> frozenset[int]:
+        return frozenset(m & varying for m in masks)
+    return restrict
+
+
+def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
+                   edges: list[tuple], others: list[tuple], restrict
+                   ) -> DegreeRecord:
+    """One degree of ``_check_degrees``, decided on class data, given its
+    fiber as ``_raw_fiber`` gives it and ``_restrictor`` of the masks.
 
     The same ranks and product as the fiber route of ``_columns`` and
     ``_character_rows``, which stays as the tests' oracle:
@@ -232,7 +245,6 @@ def _decide_degree(b: tuple[int, ...], n: int, edges: list[tuple],
       so its rank is ``_walsh_rank`` on the distinct diffs;
     - the characters kill an edge when they agree on its two ends, and
       another column when they kill its sums per parity diff."""
-    fiber = _raw_fiber(2, n, b)
     if not fiber:
         return DegreeRecord(degree=b, fiber_size=0, ideal_dim=0,
                             target_dim=0, equal=True)
@@ -272,7 +284,7 @@ def _decide_degree(b: tuple[int, ...], n: int, edges: list[tuple],
     di = len(fiber) - len(roots) + extra
 
     varying = reduce(or_, diff)
-    restricted = {m & varying for m in masks}
+    restricted = restrict(varying)
     dt = len(fiber) - _walsh_rank(set(diff), restricted, varying)
 
     equal = (di == dt
@@ -285,18 +297,25 @@ def _decide_degree(b: tuple[int, ...], n: int, edges: list[tuple],
                         target_dim=dt, equal=equal)
 
 
-def _check_degrees(n: int, gens: list[SparsePoly],
-                   characters: list[SignCharacter], bound: int
-                   ) -> tuple[DegreeRecord, ...]:
+def _check_degrees(n: int, gens: list[SparsePoly], masks: Sequence[int],
+                   bound: int) -> tuple[DegreeRecord, ...]:
     """Per degree up to the bound, whether the generators span the common
-    kernel of the characters: the characters annihilate the span, which
-    has the kernel's dimension.  A negative bound raises ValueError."""
+    kernel of the characters, given by their ``mask``: the characters
+    annihilate the span, which has the kernel's dimension.  The fibers
+    come one coordinate sum at a time from ``_fibers_of_sum``.  A
+    negative bound raises ValueError."""
     if bound < 0:
         raise ValueError("a negative degree bound leaves no degree to check")
+    # The largest level first, so that a run past the size cap stops at once.
+    _check_level(n, bound - bound % 2)
     edges, others = _split_edges(_prepared(gens, n))
-    masks = [eps.mask for eps in characters]
-    return tuple(_decide_degree(b, n, edges, others, masks)
-                 for b in degrees_up_to(n, bound))
+    restrict = _restrictor(masks)
+    records = []
+    for s, level in groupby(degrees_up_to(n, bound), key=sum):
+        fibers = _fibers_of_sum(n, s)
+        records += [_decide_degree(b, n, fibers[b], edges, others,
+                                   restrict) for b in level]
+    return tuple(records)
 
 
 def verify_link(n: int, omitted: SignCharacter, total_degree_bound: int
@@ -308,8 +327,8 @@ def verify_link(n: int, omitted: SignCharacter, total_degree_bound: int
     non-omitted characters.  A negative bound raises ValueError.
     """
     gens = link_generators(n, omitted).all_gens()
-    characters = [eps for eps in all_characters(n) if eps != omitted]
-    records = _check_degrees(n, gens, characters, total_degree_bound)
+    masks = [m for m in range(1 << pair_count(n - 1)) if m != omitted.mask]
+    records = _check_degrees(n, gens, masks, total_degree_bound)
     return VerificationReport(n=n, degree_bound=total_degree_bound, kind="link",
                               omitted=omitted, records=records)
 
@@ -322,8 +341,8 @@ def verify_decomposition(n: int, total_degree_bound: int) -> VerificationReport:
     the principal 2-minors must equal the common kernel of all character
     functionals.  A negative bound raises ValueError.
     """
-    records = _check_degrees(n, principal_minor_gens(n), all_characters(n),
-                             total_degree_bound)
+    records = _check_degrees(n, principal_minor_gens(n),
+                             range(1 << pair_count(n - 1)), total_degree_bound)
     return VerificationReport(n=n, degree_bound=total_degree_bound,
                               kind="decomposition", omitted=None,
                               records=records)

@@ -19,13 +19,17 @@ from verolink.ideals import principal_minor_gens, veronese_minor_gens
 from verolink.link import link_generators
 from verolink.poly import SignCharacter, all_characters
 from verolink.verify import (DegreeRecord, _check_degrees, _decide_degree,
-                             _prepared, _split_edges, _walsh_rank)
+                             _prepared, _restrictor, _split_edges, _walsh_rank)
+
+
+def masks_of(characters):
+    return [eps.mask for eps in characters]
 
 
 def fiber_route(n, gens, characters):
     """The degree check by elimination over the fiber points."""
     prepared = _prepared(gens, n)
-    masks = [eps.mask for eps in characters]
+    masks = masks_of(characters)
 
     def record(b):
         fiber = _raw_fiber(2, n, b)
@@ -41,8 +45,8 @@ def fiber_route(n, gens, characters):
 
 def class_record(n, gens, characters, b):
     edges, others = _split_edges(_prepared(gens, n))
-    return _decide_degree(b, n, edges, others,
-                          [eps.mask for eps in characters])
+    return _decide_degree(b, n, _raw_fiber(2, n, b), edges, others,
+                          _restrictor(masks_of(characters)))
 
 
 def assert_routes_agree(n, gens, characters, records):
@@ -70,7 +74,7 @@ def cases(n):
 @pytest.mark.parametrize("n, bound", [(3, 10), (4, 10), (5, 8)])
 def test_class_route_equals_fiber_route_record_by_record(n, bound):
     for name, gens, characters in cases(n):
-        records = _check_degrees(n, gens, characters, bound)
+        records = _check_degrees(n, gens, masks_of(characters), bound)
         assert [r.degree for r in records] == list(degrees_up_to(n, bound))
         assert_routes_agree(n, gens, characters, records)
         assert all(r.equal for r in records), name
@@ -100,7 +104,7 @@ def test_dropping_a_principal_minor_fails(n, bound):
     for dropped in range(len(principal_minor_gens(n))):
         for name, gens, characters in cases(n):
             gens = gens[:dropped] + gens[dropped + 1:]
-            records = _check_degrees(n, gens, characters, bound)
+            records = _check_degrees(n, gens, masks_of(characters), bound)
             assert not all(r.equal for r in records), (name, dropped)
             assert_routes_agree(n, gens, characters, records)
 
@@ -110,7 +114,7 @@ def test_dropping_a_character_from_the_decomposition_fails(n):
     gens = principal_minor_gens(n)
     for dropped in all_characters(n):
         characters = [eps for eps in all_characters(n) if eps != dropped]
-        records = _check_degrees(n, gens, characters, 8)
+        records = _check_degrees(n, gens, masks_of(characters), 8)
         assert not all(r.equal for r in records), dropped.spec()
         assert_routes_agree(n, gens, characters, records)
 
@@ -122,7 +126,7 @@ def test_the_link_of_another_character_fails_on_containment_alone(n, bound):
     # n = 4 they have eight terms, so the test on their class sums does.
     gens = link_generators(n, seeded_character(n, 1)).all_gens()
     _, characters = link_case(n, SignCharacter.trivial(n))
-    records = _check_degrees(n, gens, characters, bound)
+    records = _check_degrees(n, gens, masks_of(characters), bound)
     failed = [r for r in records if not r.equal]
     assert failed and all(r.ideal_dim == r.target_dim for r in failed)
     assert_routes_agree(n, gens, characters, records)
@@ -137,7 +141,7 @@ def test_edges_between_parity_classes(n):
     gens = veronese_minor_gens(n)
     trivial = [SignCharacter.trivial(n)]
     for characters, verdict in ((trivial, True), (all_characters(n), False)):
-        records = _check_degrees(n, gens, characters, 8)
+        records = _check_degrees(n, gens, masks_of(characters), 8)
         assert all(r.equal for r in records) == verdict
         assert_routes_agree(n, gens, characters, records)
 

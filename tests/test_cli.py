@@ -186,6 +186,24 @@ def test_every_enumerating_command_obeys_the_size_cap(capsys, monkeypatch, argv)
     assert "cap" in err
 
 
+def test_the_verify_size_cap_counts_the_largest_level(capsys, monkeypatch):
+    # Sum 6 at n = 4 has binom(12, 3) = 220 monomials, its largest fiber 6.
+    argv = ["verify-decomp", "-n", "4", "--bound", "6"]
+    monkeypatch.setenv("VLAB_SIZE_CAP", "219")
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "220 monomials of coordinate sum 6" in err
+    monkeypatch.setenv("VLAB_SIZE_CAP", "220")
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.endswith("verdict=pass checked=130\n")
+
+
+def test_a_negative_max_sum_is_a_usage_error(capsys):
+    code, out, err = run(capsys, ["hilbert", "-n", "3", "--max-sum", "-1"])
+    assert code == 2 and out == ""
+    assert "max sum" in err
+
+
 @pytest.mark.parametrize("k", ["0", "8"])
 def test_laurent_check_outside_its_range_is_a_usage_error(capsys, k):
     code, out, err = run(capsys, ["laurent-check", "-k", k])
@@ -201,6 +219,18 @@ def test_malformed_sign_spec_is_a_usage_error(capsys, monkeypatch, spec):
     code, out, _ = run(capsys, ["twist", "--signs", spec],
                        stdin="x11*x23 + x12*x13", monkeypatch=monkeypatch)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("spec", ["12:-,12:+", "12:-,21:+", "13:+,12:-,13:+"])
+def test_a_pair_given_twice_is_a_usage_error(capsys, monkeypatch, spec):
+    code, out, err = run(capsys, ["verify-link", "-n", "4", "--bound", "4",
+                                  "--omit", spec])
+    assert code == 2 and out == ""
+    assert "twice" in err
+    code, out, err = run(capsys, ["twist", "--signs", spec],
+                         stdin="x11*x23 + x12*x13", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert "twice" in err
 
 
 @pytest.mark.parametrize("spec", ["10:-", "00:-", "01:+"])

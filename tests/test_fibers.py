@@ -11,9 +11,10 @@ from itertools import product
 import pytest
 
 from verolink.errors import SizeCapExceeded
-from verolink.fibers import (_raw_fiber, canonical_representative,
-                             class_count, class_key, connectivity_classes,
-                             degrees_up_to, enumerate_fiber, fiber_classes,
+from verolink.fibers import (_fibers_of_sum, _raw_fiber,
+                             canonical_representative, class_count, class_key,
+                             connectivity_classes, degrees_up_to,
+                             enumerate_fiber, fiber_classes,
                              is_saturated_degree, minimal_saturated_fibers,
                              principal_moves)
 from verolink.veronese import Monomial, pair_count, veronese_matrix
@@ -66,6 +67,31 @@ def test_size_cap_env_override(monkeypatch):
     monkeypatch.setenv("VLAB_SIZE_CAP", "2")
     with pytest.raises(SizeCapExceeded):
         enumerate_fiber(3, (2, 2, 2))
+
+
+def raw_fibers_of_sum(n, s):
+    return {b: _raw_fiber(2, n, b) for b in degrees_up_to(n, s) if sum(b) == s}
+
+
+@pytest.mark.parametrize("n, top", [(3, 10), (4, 10), (5, 8)])
+def test_fibers_of_a_sum_are_the_raw_fibers_in_order(n, top):
+    for s in range(0, top + 1, 2):
+        assert _fibers_of_sum(n, s) == raw_fibers_of_sum(n, s)
+
+
+@pytest.mark.parametrize("s", [-2, -1, 1, 7])
+def test_a_sum_off_the_monoid_has_no_fibers(s):
+    assert _fibers_of_sum(3, s) == {}
+
+
+def test_the_size_cap_counts_the_monomials_of_a_level(monkeypatch):
+    # Sum 6 at n = 4: binom(12, 3) = 220 monomials, at most 6 per fiber.
+    assert sum(map(len, _fibers_of_sum(4, 6).values())) == 220
+    monkeypatch.setenv("VLAB_SIZE_CAP", "219")
+    with pytest.raises(SizeCapExceeded, match="220"):
+        _fibers_of_sum(4, 6)
+    monkeypatch.setenv("VLAB_SIZE_CAP", "220")
+    assert _fibers_of_sum(4, 6) == raw_fibers_of_sum(4, 6)
 
 
 def test_degree_round_trip():

@@ -1,5 +1,6 @@
 """Property tests of class keys, twisting, the text grammar, characters,
-the class search and the class route of the degree check.
+normal forms, the class search, the level enumeration, the class route
+of the degree check and the Hermite and Smith transforms.
 
 Runs derandomized, so every run draws the same examples; skipped when
 hypothesis is not installed.
@@ -12,16 +13,20 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from verolink.exactlin import contains_column_space
-from verolink.fibers import (_class_maxima, _raw_fiber, class_key,
-                             enumerate_fiber, off_diagonal_parities)
+from verolink.exactlin import (IntMatrix, contains_column_space,
+                               hermite_normal_form, is_unimodular,
+                               smith_normal_form)
+from verolink.fibers import (_class_maxima, _fibers_of_sum, _raw_fiber,
+                             class_key, degrees_up_to, enumerate_fiber,
+                             off_diagonal_parities)
 from verolink.link import link_generators
-from verolink.poly import (SignCharacter, SparsePoly, Twisting,
+from verolink.poly import (ClassVector, SignCharacter, SparsePoly, Twisting,
                            all_characters, character_pairs, character_value,
-                           parse_poly, render_poly, twist)
+                           normal_form, parse_poly, render_poly, twist)
 from verolink.veronese import Monomial, pair_count, variable_multisets
-from verolink.verify import (_decide_degree, _prepared, _split_edges,
-                             ideal_degree_piece, subintersection_degree_piece)
+from verolink.verify import (_decide_degree, _prepared, _restrictor,
+                             _split_edges, ideal_degree_piece,
+                             subintersection_degree_piece)
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -40,11 +45,26 @@ def monomials(draw, n, max_vars=6):
     return Monomial(n, tuple(exps))
 
 
+coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
 @st.composite
 def polys(draw, n):
-    coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     terms = draw(st.lists(st.tuples(monomials(n), coeffs), max_size=6))
     return SparsePoly(n, dict(terms))
+
+
+@st.composite
+def homogeneous_polys(draw, n, b):
+    """A polynomial whose terms all lie in the fiber of b."""
+    points = st.sampled_from(enumerate_fiber(n, b))
+    return SparsePoly(n, dict(draw(st.lists(st.tuples(points, coeffs),
+                                            max_size=6))))
+
+
+int_matrices = st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-5, 5), min_size=cols, max_size=cols),
+    min_size=1, max_size=4).map(lambda rows: IntMatrix(rows, cols=cols)))
 
 
 def characters(n):
@@ -107,11 +127,36 @@ def test_character_value_is_the_sign_product_over_differing_parities(data):
 
 @PROPERTY
 @given(st.data())
+def test_normal_form_is_linear(data):
+    n = data.draw(sizes)
+    b = data.draw(monomials(n)).degree()
+    f, g = (data.draw(homogeneous_polys(n, b)) for _ in range(2))
+    a = data.draw(coeffs)
+    expected = dict(normal_form(g).coefficients)
+    for key, c in normal_form(f).coefficients.items():
+        expected[key] = expected.get(key, 0) + a * c
+    expected = {key: c for key, c in expected.items() if c}
+    assert normal_form(a * f + g) == ClassVector(degree=b, coefficients=expected)
+
+
+@PROPERTY
+@given(st.data())
 def test_class_search_finds_the_largest_point_of_every_class(data):
     n = data.draw(sizes)
     b = tuple(data.draw(degrees)[:n])
     expected = {off_diagonal_parities(e, n): e for e in _raw_fiber(2, n, b)}
     assert _class_maxima(n, b) == expected
+
+
+@PROPERTY
+@given(st.data())
+def test_a_level_holds_the_raw_fibers_of_its_sum(data):
+    # Odd sums included: they miss the monoid and have no fiber.
+    n = data.draw(sizes)
+    s = data.draw(st.integers(0, 8))
+    expected = {b: _raw_fiber(2, n, b) for b in degrees_up_to(n, s)
+                if sum(b) == s}
+    assert _fibers_of_sum(n, s) == expected
 
 
 @PROPERTY
@@ -123,7 +168,8 @@ def test_class_route_equals_the_public_fiber_route(data):
     omitted = data.draw(characters(n))
     gens = link_generators(n, omitted).all_gens()
     masks = [eps.mask for eps in all_characters(n) if eps != omitted]
-    record = _decide_degree(b, n, *_split_edges(_prepared(gens, n)), masks)
+    record = _decide_degree(b, n, _raw_fiber(2, n, b),
+                            *_split_edges(_prepared(gens, n)), _restrictor(masks))
     ideal = ideal_degree_piece(gens, n, b)
     target = subintersection_degree_piece(n, omitted, b)
     assert record.fiber_size == len(ideal.fiber) == len(target.fiber)
@@ -131,3 +177,21 @@ def test_class_route_equals_the_public_fiber_route(data):
     assert record.target_dim == target.dimension()
     assert record.equal == (record.ideal_dim == record.target_dim and
                             contains_column_space(target.vectors, ideal.vectors))
+
+
+@PROPERTY
+@given(int_matrices)
+def test_the_hermite_transform_is_unimodular_and_gives_the_form(M):
+    H, U = hermite_normal_form(M)
+    assert U.mul(M) == H
+    assert is_unimodular(U)
+
+
+@PROPERTY
+@given(int_matrices)
+def test_the_smith_transforms_are_unimodular_and_give_the_form(M):
+    snf = smith_normal_form(M)
+    assert snf.U.mul(M).mul(snf.W) == snf.S
+    assert is_unimodular(snf.U) and is_unimodular(snf.W)
+    assert all(x == 0 for i, row in enumerate(snf.S.data)
+               for j, x in enumerate(row) if i != j)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from verolink.errors import SizeCapExceeded
 from verolink.exactlin import contains_column_space
 from verolink.ideals import principal_minor_gens
 from verolink.link import link_generators, saturated_fiber_poly
@@ -147,15 +148,33 @@ def test_generator_degrees_are_read_once_per_check(monkeypatch):
     assert len(calls) == len(link_generators(3, omitted).all_gens())
 
 
-def test_fiber_is_enumerated_once_per_degree(monkeypatch):
+def test_each_level_is_enumerated_once(monkeypatch):
+    # One level per even coordinate sum, in order, and no single-fiber
+    # enumeration: every degree's fiber comes from its level, and every
+    # point made lands in one record.
+    import verolink.fibers as fibers
     import verolink.verify as verify
-    calls = []
-    real = verify._raw_fiber
-    monkeypatch.setattr(verify, "_raw_fiber",
-                        lambda *a: calls.append(a[2]) or real(*a))
+    levels = []
+    real = verify._fibers_of_sum
+    monkeypatch.setattr(verify, "_fibers_of_sum",
+                        lambda n, s: levels.append((s, real(n, s))) or levels[-1][1])
+    monkeypatch.setattr(fibers, "_raw_fiber", None)
     report = verify_link(3, SignCharacter.trivial(3), 6)
     assert report.verdict
-    assert calls == [r.degree for r in report.records]
+    assert [s for s, _ in levels] == [0, 2, 4, 6]
+    assert [b for _, level in levels for b in sorted(level)] \
+        == [r.degree for r in report.records]
+    assert sum(len(f) for _, level in levels for f in level.values()) \
+        == sum(r.fiber_size for r in report.records)
+
+
+def test_a_run_past_the_size_cap_stops_before_any_level(monkeypatch):
+    # Sum 6 at n = 4 has 220 monomials; sums 0 to 4 fit under the cap.
+    import verolink.verify as verify
+    monkeypatch.setattr(verify, "_fibers_of_sum", None)
+    monkeypatch.setenv("VLAB_SIZE_CAP", "219")
+    with pytest.raises(SizeCapExceeded, match="220"):
+        verify_decomposition(4, 6)
 
 
 def test_the_decomposition_is_decided_without_elimination(monkeypatch):
