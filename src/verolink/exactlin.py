@@ -4,9 +4,11 @@ Everything here runs over Python ints (arbitrary precision) or
 ``fractions.Fraction``; there is no floating point anywhere.  Ranks,
 nullspaces, reduced echelon forms and rational solves all run on one
 fraction-free elimination kernel, ``_int_rref``, over integer rows;
-rational input is scaled row by row to integers first.  The integer
-normal forms return their unimodular transforms so callers can certify
-results instead of trusting them:
+rational input is scaled row by row to integers first.  A rank stops at
+the echelon form; reduced echelon forms, nullspaces and solves also
+reduce the rows above each pivot.  The integer normal forms return
+their unimodular transforms so callers can certify results instead of
+trusting them:
 
 * ``hermite_normal_form(M)`` returns ``(H, U)`` with ``U @ M == H``.
 * ``smith_normal_form(M)`` returns ``(U, S, W)`` with ``U @ M @ W == S``.
@@ -15,13 +17,16 @@ Conventions are fixed so outputs are bit-stable: row-style Hermite form
 with positive pivots and entries above a pivot reduced into
 ``[0, pivot)``.  The Hermite form is the one lattice routine: the Smith
 form alternates row and column Hermite forms until the matrix is
-diagonal, and lattice coordinates are read off Hermite basis rows.
+diagonal, and lattice coordinates are read off Hermite basis rows.  A
+Hermite form whose transform would be discarded (the Smith rounds and
+lattice bases) builds none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 from .errors import IndexNotFinite, SizeMismatch
@@ -40,9 +45,9 @@ class IntMatrix:
     @staticmethod
     def _row(row) -> list[int]:
         row = list(row)
-        for x in row:
-            if not isinstance(x, int):
-                raise TypeError(f"integer entry expected, got {x!r}")
+        if not all(map(isinstance, row, repeat(int))):
+            bad = next(x for x in row if not isinstance(x, int))
+            raise TypeError(f"integer entry expected, got {bad!r}")
         return row
 
     def __init__(self, data, cols=None):
@@ -161,24 +166,26 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """
     H = [row[:] for row in M.data]
     U = IntMatrix.identity(M.rows).data
-    rows, cols = M.rows, M.cols
+    _hermite(H, U)
+    return IntMatrix(H, cols=M.cols), IntMatrix(U, cols=M.rows)
 
-    def row_sub(i, k, q):
+
+def _hermite(H: list[list[int]], U: list[list[int]] | None) -> None:
+    """Bring the rows H to Hermite form in place, applying each row
+    operation to U as well; U is None when the caller discards it.
+
+    At pivot column pc, every row from the pivot row down is zero left
+    of pc, so a row operation rewrites only columns ``pc..``.
+    """
+    rows = len(H)
+    cols = len(H[0]) if rows else 0
+
+    def row_sub(i, k, q, pc):
         if q:
             Hi, Hk = H[i], H[k]
-            for j in range(cols):
-                Hi[j] -= q * Hk[j]
-            Ui, Uk = U[i], U[k]
-            for j in range(rows):
-                Ui[j] -= q * Uk[j]
-
-    def row_swap(i, k):
-        H[i], H[k] = H[k], H[i]
-        U[i], U[k] = U[k], U[i]
-
-    def row_negate(i):
-        H[i] = [-x for x in H[i]]
-        U[i] = [-x for x in U[i]]
+            H[i] = Hi[:pc] + [x - q * y for x, y in zip(Hi[pc:], Hk[pc:])]
+            if U is not None:
+                U[i] = [x - q * y for x, y in zip(U[i], U[k])]
 
     pr = 0
     for pc in range(cols):
@@ -195,11 +202,13 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             if best is None:
                 break
             if best != pr:
-                row_swap(pr, best)
+                H[pr], H[best] = H[best], H[pr]
+                if U is not None:
+                    U[pr], U[best] = U[best], U[pr]
             clean = True
             for i in range(pr + 1, rows):
                 if H[i][pc]:
-                    row_sub(i, pr, H[i][pc] // H[pr][pc])
+                    row_sub(i, pr, H[i][pc] // H[pr][pc], pc)
                     if H[i][pc]:
                         clean = False
             if clean:
@@ -207,27 +216,28 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if all(H[i][pc] == 0 for i in range(pr, rows)):
             continue
         if H[pr][pc] < 0:
-            row_negate(pr)
+            H[pr] = [-x for x in H[pr]]
+            if U is not None:
+                U[pr] = [-x for x in U[pr]]
         for i in range(pr):
-            row_sub(i, pr, H[i][pc] // H[pr][pc])
+            row_sub(i, pr, H[i][pc] // H[pr][pc], pc)
         pr += 1
-
-    return IntMatrix(H, cols=cols), IntMatrix(U, cols=rows)
 
 
 def _hermite_carrying(A: IntMatrix, T: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Hermite form of A, and T with the same row operations applied.
 
-    T rides to the right of A in one ``hermite_normal_form`` call.  A's
+    T rides to the right of A in one Hermite form of ``[A | T]``.  A's
     columns come first, so its part of the result is the Hermite form of
     A; the later pivots in T's columns only combine rows that are zero
     on A.  So the second matrix is V @ T for a unimodular V with
     V @ A equal to the first, and a transform composes without a
-    matrix product.
+    matrix product; the transform of ``[A | T]`` itself is never built.
     """
-    H, _ = hermite_normal_form(A.hstack(T))
-    return (IntMatrix([row[:A.cols] for row in H.data], cols=A.cols),
-            IntMatrix([row[A.cols:] for row in H.data], cols=T.cols))
+    H = A.hstack(T).data
+    _hermite(H, None)
+    return (IntMatrix([row[:A.cols] for row in H], cols=A.cols),
+            IntMatrix([row[A.cols:] for row in H], cols=T.cols))
 
 
 def smith_normal_form(M: IntMatrix) -> SnfResult:
@@ -321,8 +331,9 @@ def kernel_lattice(M: IntMatrix) -> IntMatrix:
 
 def column_lattice_basis(M: IntMatrix) -> IntMatrix:
     """A basis (as columns) of the lattice spanned by the columns of M."""
-    H, _ = hermite_normal_form(M.transpose())
-    basis = [row for row in H.data if any(x != 0 for x in row)]
+    H = M.transpose().data
+    _hermite(H, None)
+    basis = [row for row in H if any(x != 0 for x in row)]
     return IntMatrix.from_columns(basis, rows=M.rows)
 
 
@@ -379,13 +390,19 @@ def invariant_factors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
     return [d for d in factors if d > 1]
 
 
-def _int_rref(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _int_rref(a: list[list[int]], echelon_only: bool = False
+              ) -> tuple[list[list[int]], list[int]]:
     """Fraction-free fully reduced row echelon form of integer rows.
 
     Rows are updated by cross-multiplication and renormalized by their
     gcd, so all arithmetic stays in the integers; pivot entries end up
-    positive but not necessarily one, and the zero rows come last.
-    Mutates ``a`` and returns (rows, pivot column indices).
+    positive but not necessarily one, and the zero rows come last.  Left
+    of pivot column c the pivot row is zero, so an update rewrites only
+    columns ``c..`` and scales the rest by the pivot.  With
+    ``echelon_only`` the rows above each pivot are left unreduced: the
+    rows from the pivot down, and so the pivots, are the same, which is
+    all a rank needs.  Mutates ``a`` and returns (rows, pivot column
+    indices).
     """
     m = len(a)
     k = len(a[0]) if m else 0
@@ -404,18 +421,17 @@ def _int_rref(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         a[r], a[best] = a[best], a[r]
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-        prow = a[r]
-        p = prow[c]
-        for i in range(m):
-            v = a[i][c]
+        tail = a[r][c:]
+        p = tail[0]
+        for i in range(r + 1 if echelon_only else 0, m):
+            row = a[i]
+            v = row[c]
             if i == r or not v:
                 continue
-            row = [x * p - v * y for x, y in zip(a[i], prow)]
-            g = 0
-            for x in row:
-                g = gcd(g, x)
-                if g == 1:
-                    break
+            # Rows below the pivot are zero left of c as well.
+            head = row[:c] if p == 1 or i > r else [x * p for x in row[:c]]
+            row = head + [x * p - v * y for x, y in zip(row[c:], tail)]
+            g = gcd(*row)
             a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
@@ -450,7 +466,7 @@ def rational_rref(M: IntMatrix | RatMatrix) -> tuple[list[list[Fraction]], list[
 
 
 def rational_rank(M: IntMatrix | RatMatrix) -> int:
-    return len(_int_rref(_as_int_rows(M))[1])
+    return len(_int_rref(_as_int_rows(M), echelon_only=True)[1])
 
 
 def rational_nullspace(M: IntMatrix | RatMatrix) -> RatMatrix:

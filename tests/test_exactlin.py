@@ -1,5 +1,6 @@
 """Unit tests for the exact linear algebra core."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import pytest
 
 from verolink import exactlin
 from verolink.errors import IndexNotFinite
-from verolink.exactlin import (IntMatrix, RatMatrix, det, hermite_normal_form,
-                               invariant_factors, is_unimodular,
-                               kernel_lattice, rational_nullspace,
-                               rational_rank, same_column_space,
+from verolink.exactlin import (IntMatrix, RatMatrix, column_lattice_basis, det,
+                               hermite_normal_form, invariant_factors,
+                               is_unimodular, kernel_lattice,
+                               rational_nullspace, rational_rank,
+                               rational_rref, same_column_space,
                                smith_normal_form, solve_rational)
 from verolink.verify import higher_torsion
 
@@ -227,6 +229,11 @@ def test_normal_forms_leave_their_arguments_unchanged(seed):
     assert [M, sub, amb] == copies
 
 
+def test_a_non_integer_entry_is_refused_by_name():
+    with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
+        IntMatrix([[1, Fraction(1, 2)]])
+
+
 # -- mixed integer and rational operands ------------------------------------
 
 def test_mixed_operands_give_a_rational_matrix():
@@ -289,3 +296,74 @@ def test_det_small_cases():
     assert det(IntMatrix([[2, 1], [1, 1]])) == 1
     assert det(IntMatrix([[2, 4], [1, 2]])) == 0
     assert det(IntMatrix([[0, 1], [1, 0]])) == -1
+
+
+# -- exact kernel outputs ----------------------------------------------------
+
+def _pinned_int_matrices():
+    """Seeded integer matrices up to 10x12: full rank, rank deficient,
+    and with zero rows or columns."""
+    rng = random.Random(7919)
+    out = []
+    for t in range(60):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 12)
+        if t % 3 == 1:
+            # A product through a thin middle dimension has low rank.
+            k = rng.randint(1, max(1, min(rows, cols) - 1))
+            M = random_int_matrix(rng, rows, k, -3, 3).mul(
+                random_int_matrix(rng, k, cols, -3, 3))
+        else:
+            M = random_int_matrix(rng, rows, cols)
+        data = M.data
+        if t % 4 == 2:
+            data[rng.randrange(rows)] = [0] * cols
+        if t % 5 == 3:
+            j = rng.randrange(cols)
+            for row in data:
+                row[j] = 0
+        out.append(IntMatrix(data, cols=cols))
+    return out
+
+
+def _pinned_rational_matrices():
+    rng = random.Random(104729)
+    out = []
+    for t in range(30):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 12)
+        data = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(cols)]
+                for _ in range(rows)]
+        if t % 2:
+            # Repeat a combination of earlier rows to lose rank.
+            for i in range(rows // 2, rows):
+                a, b = rng.randrange(rows // 2 or 1), rng.randrange(rows // 2 or 1)
+                q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                data[i] = [x + q * y for x, y in zip(data[a], data[b])]
+        if t % 3 == 2:
+            data[rng.randrange(rows)] = [Fraction(0)] * cols
+        out.append(RatMatrix(data, cols=cols))
+    return out
+
+
+def _kernel_outputs() -> str:
+    lines = []
+    for M in _pinned_int_matrices():
+        snf = smith_normal_form(M)
+        lines.append(repr((hermite_normal_form(M), (snf.U, snf.S, snf.W),
+                           rational_rref(M), rational_nullspace(M),
+                           rational_rank(M), kernel_lattice(M),
+                           column_lattice_basis(M))))
+    for M in _pinned_rational_matrices():
+        lines.append(repr((rational_rref(M), rational_nullspace(M),
+                           rational_rank(M))))
+    return "\n".join(lines)
+
+
+def test_kernel_outputs_are_pinned():
+    # Exact transforms, scalings and bases, not just their properties:
+    # the digest was taken from the outputs before the kernels were sped
+    # up, so a faster kernel must give the same bytes.
+    digest = hashlib.sha256(_kernel_outputs().encode()).hexdigest()
+    assert digest == KERNEL_OUTPUTS_SHA256
+
+
+KERNEL_OUTPUTS_SHA256 = "6745197c6bfa6dad532b64d2a1a4eb5d9416fd4c44fd02c48be724b364dce671"

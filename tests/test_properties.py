@@ -1,6 +1,7 @@
 """Property tests of class keys, twisting, the text grammar, characters,
 normal forms, the class search, the level enumeration, the class route
-of the degree check and the Hermite and Smith transforms.
+of the degree check, the Hermite and Smith transforms and the
+shortcuts of the elimination kernels.
 
 Runs derandomized, so every run draws the same examples; skipped when
 hypothesis is not installed.
@@ -13,8 +14,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from verolink.exactlin import (IntMatrix, contains_column_space,
+from verolink.exactlin import (IntMatrix, RatMatrix, _hermite,
+                               column_lattice_basis, contains_column_space,
                                hermite_normal_form, is_unimodular,
+                               rational_rank, rational_rref,
                                smith_normal_form)
 from verolink.fibers import (_class_maxima, _fibers_of_sum, _raw_fiber,
                              class_key, degrees_up_to, enumerate_fiber,
@@ -65,6 +68,30 @@ def homogeneous_polys(draw, n, b):
 int_matrices = st.integers(1, 4).flatmap(lambda cols: st.lists(
     st.lists(st.integers(-5, 5), min_size=cols, max_size=cols),
     min_size=1, max_size=4).map(lambda rows: IntMatrix(rows, cols=cols)))
+
+
+@st.composite
+def deficient_int_matrices(draw):
+    """Up to 6x7, often rank deficient: a product through a middle
+    dimension k, with rows repeated when k reaches the row count."""
+    rows, k, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entries = st.integers(-3, 3)
+    A = IntMatrix(draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                                min_size=rows, max_size=rows)), cols=k)
+    B = IntMatrix(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                min_size=k, max_size=k)), cols=cols)
+    M = A.mul(B)
+    return IntMatrix(M.data + M.data[:draw(st.integers(0, 2))], cols=cols)
+
+
+@st.composite
+def rational_matrices(draw):
+    """A rational matrix whose rows are scaled copies of the rows of a
+    rank-deficient integer matrix, and some of them zero."""
+    M = draw(deficient_int_matrices())
+    scales = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+    return RatMatrix([[draw(scales) * x for x in row] for row in M.data],
+                     cols=M.cols)
 
 
 def characters(n):
@@ -195,3 +222,25 @@ def test_the_smith_transforms_are_unimodular_and_give_the_form(M):
     assert is_unimodular(snf.U) and is_unimodular(snf.W)
     assert all(x == 0 for i, row in enumerate(snf.S.data)
                for j, x in enumerate(row) if i != j)
+
+
+@PROPERTY
+@given(st.one_of(int_matrices, deficient_int_matrices(), rational_matrices()))
+def test_the_echelon_rank_counts_the_rref_pivots(M):
+    assert rational_rank(M) == len(rational_rref(M)[1])
+
+
+@PROPERTY
+@given(st.one_of(int_matrices, deficient_int_matrices()))
+def test_the_transform_free_hermite_form_is_the_hermite_form(M):
+    H = [row[:] for row in M.data]
+    _hermite(H, None)
+    assert H == hermite_normal_form(M)[0].data
+
+
+@PROPERTY
+@given(st.one_of(int_matrices, deficient_int_matrices()))
+def test_the_column_lattice_basis_is_the_nonzero_hermite_rows(M):
+    H, _ = hermite_normal_form(M.transpose())
+    basis = [row for row in H.data if any(row)]
+    assert column_lattice_basis(M) == IntMatrix.from_columns(basis, rows=M.rows)

@@ -252,3 +252,28 @@ def test_higher_torsion_values():
 
 def test_higher_torsion_d3_n4():
     assert higher_torsion(3, 4) == [3] * 13
+
+
+# (d, n): the number of factors d for every pair inside the size guard
+# (2 <= n <= 8, d >= 2, d*n <= 24); each factor is d.
+TORSION_COUNTS = {
+    (2, 2): 0, (3, 2): 1, (4, 2): 2, (5, 2): 3, (6, 2): 4, (7, 2): 5,
+    (8, 2): 6, (9, 2): 7, (10, 2): 8, (11, 2): 9, (12, 2): 10,
+    (2, 3): 1, (3, 3): 5, (4, 3): 10, (5, 3): 16, (6, 3): 23, (7, 3): 31,
+    (8, 3): 40,
+    (2, 4): 3, (3, 4): 13, (4, 4): 28, (5, 4): 49, (6, 4): 77,
+    (2, 5): 6, (3, 5): 26, (4, 5): 61,
+    (2, 6): 10, (3, 6): 45, (4, 6): 115,
+    (2, 7): 15, (3, 7): 71,
+    (2, 8): 21, (3, 8): 105,
+}
+
+
+def test_the_torsion_table_covers_every_guarded_pair():
+    assert set(TORSION_COUNTS) == {(d, n) for n in range(2, 9)
+                                   for d in range(2, 25) if d * n <= 24}
+
+
+@pytest.mark.parametrize("d,n", sorted(TORSION_COUNTS))
+def test_higher_torsion_table(d, n):
+    assert higher_torsion(d, n) == [d] * TORSION_COUNTS[d, n]
