@@ -16,13 +16,13 @@ from .ideals import (higher_veronese_gens, principal_minor_gens,
 from .link import (LinkGenerators, check_saturation_identity, check_syzygy,
                    link_generators, saturated_fiber_poly, saturation_exponent,
                    zonotope_poly)
-from .poly import (ClassVector, SignCharacter, SparsePoly, Twisting,
-                   all_characters, character_of_twisting, character_value,
+from .poly import (SignCharacter, SparsePoly, Twisting, all_characters,
+                   character_of_twisting, character_value,
                    in_principal_minor_ideal, in_twisted_veronese, multidegree,
                    normal_form, parse_poly, render_poly, twist,
                    twisting_from_character)
-from .veronese import (GradingMatrix, LatticeVector, Monomial, minor_vector,
-                       pair_count, principal_minor_basis, veronese_matrix,
+from .veronese import (Monomial, minor_vector, pair_count,
+                       principal_minor_basis, veronese_matrix,
                        veronese_lattice_basis)
 from .verify import (DegreePiece, VerificationReport, colon_membership,
                      group_algebra_subintersection, higher_torsion,

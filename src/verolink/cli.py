@@ -21,7 +21,8 @@ from .link import saturated_fiber_poly, zonotope_poly
 from .poly import (SignCharacter, SparsePoly, Twisting,
                    in_principal_minor_ideal, in_twisted_veronese, parse_poly,
                    render_poly, twist)
-from .veronese import Monomial, pair, veronese_matrix
+from .veronese import (Monomial, pair, principal_minor_basis, variable_multisets,
+                       veronese_lattice_basis, veronese_matrix)
 from .verify import (colon_membership, group_algebra_subintersection,
                      higher_torsion, verify_decomposition, verify_link)
 
@@ -105,19 +106,22 @@ def _emit(args, payload, text_lines) -> None:
 
 def cmd_grading(args) -> int:
     V = veronese_matrix(args.d, args.n)
-    lines = ["# columns: " + " ".join(V.column_labels())]
-    lines += [" ".join(str(x) for x in row) for row in V.matrix.data]
-    _emit(args, {"d": V.d, "n": V.n, "columns": V.column_labels(),
-                 "rows": V.matrix.data}, lines)
+    labels = ["".join(map(str, ms)) for ms in variable_multisets(args.d, args.n)]
+    lines = ["# columns: " + " ".join(labels)]
+    lines += [" ".join(str(x) for x in row) for row in V.data]
+    _emit(args, {"d": args.d, "n": args.n, "columns": labels, "rows": V.data},
+          lines)
     return 0
 
 
 def cmd_basis(args) -> int:
-    from .veronese import principal_minor_basis, veronese_lattice_basis
     vectors = (principal_minor_basis(args.n) if args.prime
                else veronese_lattice_basis(args.n))
-    lines = [str(v) for v in vectors]
-    payload = [{f"{i}{j}": c for (i, j), c in v.support_pairs()} for v in vectors]
+    cols = variable_multisets(2, args.n)
+    payload = [{"".join(map(str, cols[k])): c for k, c in enumerate(v) if c}
+               for v in vectors]
+    lines = [" ".join(f"{ij}:{c}" for ij, c in entries.items()) or "0"
+             for entries in payload]
     _emit(args, payload, lines)
     return 0
 

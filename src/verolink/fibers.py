@@ -17,8 +17,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import IndexOutOfRange, SizeCapExceeded, SizeMismatch
-from .veronese import (LatticeVector, Monomial, check_size, column_position,
-                       column_supports, minor_vector, variable_multisets)
+from .veronese import (Monomial, check_size, column_position, column_supports,
+                       minor_vector, variable_multisets)
 
 DEFAULT_SIZE_CAP = 10 ** 6
 
@@ -316,7 +316,7 @@ def minimal_saturated_fibers(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def connectivity_classes(n: int, b, moves: list[LatticeVector]
+def connectivity_classes(n: int, b, moves: list[tuple[int, ...]]
                          ) -> list[list[Monomial]]:
     """Partition the fiber of b into components of the move graph.
 
@@ -324,9 +324,9 @@ def connectivity_classes(n: int, b, moves: list[LatticeVector]
     nonnegative.  With the principal 2-minor vectors as moves this is
     the brute-force oracle for ``class_key``.
     """
-    for m in moves:
-        if m.n != n:
-            raise SizeMismatch("move over a different variable set")
+    size = len(variable_multisets(2, n))
+    if any(len(m) != size for m in moves):
+        raise SizeMismatch("move over a different variable set")
     raw = _raw_fiber(2, n, tuple(b))
     index = {exps: k for k, exps in enumerate(raw)}
     parent = list(range(len(raw)))
@@ -342,9 +342,8 @@ def connectivity_classes(n: int, b, moves: list[LatticeVector]
         if rx != ry:
             parent[ry] = rx
 
-    move_tuples = [m.entries for m in moves]
     for exps, k in index.items():
-        for mv in move_tuples:
+        for mv in moves:
             neighbor = tuple(a + c for a, c in zip(exps, mv))
             if all(x >= 0 for x in neighbor):
                 j = index.get(neighbor)
@@ -358,7 +357,7 @@ def connectivity_classes(n: int, b, moves: list[LatticeVector]
     return [[Monomial(n, exps) for exps in comp] for comp in components]
 
 
-def principal_moves(n: int) -> list[LatticeVector]:
+def principal_moves(n: int) -> list[tuple[int, ...]]:
     """The principal 2-minor vectors, the Markov moves of the walk oracle."""
     return [minor_vector(i, j, i, j, n)
             for i in range(1, n + 1) for j in range(i + 1, n + 1)]

@@ -5,14 +5,16 @@ from __future__ import annotations
 from .errors import IndexOutOfRange
 from .exactlin import IntMatrix
 from .poly import SparsePoly
-from .veronese import (LatticeVector, check_size, column_position,
-                       minor_vector, variable_multisets)
+from .veronese import (Monomial, check_size, column_position, minor_vector,
+                       variable_multisets)
 
 
-def binomial_from_vector(v: LatticeVector) -> SparsePoly:
-    """The pure difference binomial x^(v+) - x^(v-)."""
-    return (SparsePoly.monomial(v.positive_part())
-            - SparsePoly.monomial(v.negative_part()))
+def binomial_from_vector(n: int, v: tuple[int, ...]) -> SparsePoly:
+    """The pure difference binomial x^(v+) - x^(v-) of a signed exponent
+    vector, dense in the column order of ``variable_multisets(2, n)``."""
+    plus = Monomial(n, tuple(x if x > 0 else 0 for x in v))
+    minus = Monomial(n, tuple(-x if x < 0 else 0 for x in v))
+    return SparsePoly.monomial(plus) - SparsePoly.monomial(minus)
 
 
 def principal_minor_gens(n: int) -> list[SparsePoly]:
@@ -24,7 +26,7 @@ def principal_minor_gens(n: int) -> list[SparsePoly]:
     if n < 2:
         raise IndexOutOfRange("need n >= 2")
     check_size(2, n)
-    return [binomial_from_vector(minor_vector(i, j, i, j, n))
+    return [binomial_from_vector(n, minor_vector(i, j, i, j, n))
             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
@@ -45,7 +47,7 @@ def veronese_minor_gens(n: int) -> list[SparsePoly]:
         for j in range(i, n + 1):
             for k in range(1, n + 1):
                 for l in range(k, n + 1):
-                    g = binomial_from_vector(minor_vector(i, j, k, l, n))
+                    g = binomial_from_vector(n, minor_vector(i, j, k, l, n))
                     if g.is_zero():
                         continue
                     if g.sorted_terms()[0][1] < 0:

@@ -289,31 +289,6 @@ def character_value(eps: SignCharacter, u: Monomial, u0: Monomial) -> int:
 
 # -- normal forms modulo the principal-minor ideal ---------------------
 
-@dataclass(frozen=True)
-class ClassVector:
-    """Normal form of a homogeneous polynomial: one coefficient per class.
-
-    Each (degree, class) graded piece of the quotient by the
-    principal-minor ideal is one-dimensional, and every monomial maps to
-    its class basis element with coefficient one, so the normal form is
-    the class-wise coefficient sum.  ``degree`` is None for the zero
-    polynomial.
-    """
-
-    degree: tuple[int, ...] | None
-    coefficients: dict[FiberClassKey, Fraction]
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassVector):
-            return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.coefficients == other.coefficients
-
-
 def _class_sums(p: SparsePoly) -> dict[FiberClassKey, Fraction]:
     """Coefficient sums of p per (degree, class) key, zero sums dropped.
 
@@ -327,16 +302,19 @@ def _class_sums(p: SparsePoly) -> dict[FiberClassKey, Fraction]:
     return {key: s for key, s in sums.items() if s}
 
 
-def normal_form(p: SparsePoly) -> ClassVector:
-    """Class-wise coefficient sums of a homogeneous polynomial.
+def normal_form(p: SparsePoly) -> dict[FiberClassKey, Fraction]:
+    """Normal form of a homogeneous polynomial: its class sums.
 
-    These class sums are the one reader behind both membership tests:
-    the polynomial lies in the principal-minor ideal exactly when every
-    sum vanishes.
+    Each (degree, class) graded piece of the quotient by the
+    principal-minor ideal is one-dimensional, and every monomial maps to
+    its class basis element with coefficient one, so the normal form is
+    the dict of nonzero class-wise coefficient sums; it is empty exactly
+    when p lies in the principal-minor ideal.  Inhomogeneous input
+    raises ``Inhomogeneous``.
     """
-    if p.is_zero():
-        return ClassVector(degree=None, coefficients={})
-    return ClassVector(degree=multidegree(p), coefficients=_class_sums(p))
+    if not p.is_zero():
+        multidegree(p)
+    return _class_sums(p)
 
 
 def in_principal_minor_ideal(p: SparsePoly) -> bool:
@@ -412,16 +390,16 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
         raise ValueError("empty polynomial text")
 
     raw_terms: list[tuple[int, Fraction | None, list[tuple[int, int]]]] = []
-    sign, coeff, vars_, num_open = 1, None, [], None
+    sign, coeff, vars_, num_open, has_den = 1, None, [], None, False
 
     def flush():
-        nonlocal sign, coeff, vars_, num_open
+        nonlocal sign, coeff, vars_, num_open, has_den
         if num_open is not None:
             raise ValueError("dangling '/' in coefficient")
         if coeff is None and not vars_:
             raise ValueError("empty term")
         raw_terms.append((sign, coeff, vars_))
-        sign, coeff, vars_ = 1, None, []
+        sign, coeff, vars_, has_den = 1, None, [], False
 
     started = False
     for tok in tokens:
@@ -435,13 +413,18 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
             if coeff is None and not vars_:
                 raise ValueError("misplaced '*'")
         elif tok == "/":
-            if coeff is None or num_open is not None:
+            if has_den:
+                raise ValueError("second '/' in a coefficient")
+            if coeff is None or num_open is not None or vars_:
                 raise ValueError("misplaced '/'")
             num_open = coeff
         elif tok.isdigit():
             if num_open is not None:
+                if int(tok) == 0:
+                    raise ValueError(
+                        f"zero denominator in the coefficient {num_open}/{tok}")
                 coeff = Fraction(num_open) / int(tok)
-                num_open = None
+                num_open, has_den = None, True
             elif coeff is not None:
                 raise ValueError("two coefficients in one term")
             else:
@@ -472,7 +455,7 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
 
 
 __all__ = [
-    "ClassVector", "SignCharacter", "SparsePoly", "Twisting",
+    "SignCharacter", "SparsePoly", "Twisting",
     "all_characters", "character_of_twisting", "character_pairs",
     "character_value", "degree_split", "in_principal_minor_ideal",
     "in_twisted_veronese", "multidegree", "normal_form", "parse_poly",

@@ -421,7 +421,7 @@ def higher_torsion(d: int, n: int) -> list[int]:
     matrix.  Factors equal to one are dropped.
     """
     sub = generator_lattice(higher_veronese_gens(d, n))
-    ambient = kernel_lattice(veronese_matrix(d, n).matrix)
+    ambient = kernel_lattice(veronese_matrix(d, n))
     return invariant_factors(sub, ambient)
 
 

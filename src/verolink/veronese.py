@@ -71,31 +71,17 @@ def column_supports(d: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GradingMatrix:
-    """The n-row matrix whose columns are all weight-d vectors.
-
-    ``columns`` fixes the column order (lexicographic on multisets); the
-    entry at (i, column of m) is the multiplicity of i in the multiset m.
-    For d = 2 the column count is binom(n+1, 2).
-    """
-
-    d: int
-    n: int
-    matrix: IntMatrix
-    columns: tuple[tuple[int, ...], ...]
-
-    def column_labels(self) -> list[str]:
-        return ["".join(str(i) for i in ms) for ms in self.columns]
-
-
 @lru_cache(maxsize=None)
-def veronese_matrix(d: int, n: int) -> GradingMatrix:
-    """Grading matrix of the d-th Veronese embedding of [n]."""
+def veronese_matrix(d: int, n: int) -> IntMatrix:
+    """Grading matrix of the d-th Veronese embedding of [n].
+
+    Its columns are ``variable_multisets(d, n)``: the entry at (i, column
+    of m) is the multiplicity of i in the multiset m.  For d = 2 the
+    column count is binom(n+1, 2).
+    """
     check_size(d, n)
     cols = variable_multisets(d, n)
-    rows = [[ms.count(i) for ms in cols] for i in range(1, n + 1)]
-    return GradingMatrix(d=d, n=n, matrix=IntMatrix(rows), columns=cols)
+    return IntMatrix([[ms.count(i) for ms in cols] for i in range(1, n + 1)])
 
 
 @dataclass(frozen=True)
@@ -171,59 +157,12 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    """Integer vector over the pair variables, dense in column order."""
-
-    n: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != len(variable_multisets(2, self.n)):
-            raise IndexOutOfRange("entry vector length does not match n")
-
-    @classmethod
-    def from_pairs(cls, n: int, entries: dict[tuple[int, int], int]) -> "LatticeVector":
-        pos = column_position(2, n)
-        vec = [0] * len(pos)
-        for (i, j), v in entries.items():
-            vec[pos[pair(i, j)]] += v
-        return cls(n, tuple(vec))
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries[column_position(2, self.n)[pair(i, j)]]
-
-    def scaled(self, k: int) -> "LatticeVector":
-        return LatticeVector(self.n, tuple(k * v for v in self.entries))
-
-    def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        if self.n != other.n:
-            raise IndexOutOfRange("vectors over different variable sets")
-        return LatticeVector(self.n, tuple(a + b for a, b in
-                                           zip(self.entries, other.entries)))
-
-    def positive_part(self) -> Monomial:
-        return Monomial(self.n, tuple(v if v > 0 else 0 for v in self.entries))
-
-    def negative_part(self) -> Monomial:
-        return Monomial(self.n, tuple(-v if v < 0 else 0 for v in self.entries))
-
-    def support_pairs(self):
-        cols = variable_multisets(2, self.n)
-        for k, v in enumerate(self.entries):
-            if v:
-                yield cols[k], v
-
-    def __str__(self):
-        pieces = [f"{i}{j}:{v}" for (i, j), v in self.support_pairs()]
-        return " ".join(pieces) if pieces else "0"
-
-
-def minor_vector(i: int, j: int, k: int, l: int, n: int) -> LatticeVector:
+def minor_vector(i: int, j: int, k: int, l: int, n: int) -> tuple[int, ...]:
     """Signed exponent vector of the 2-minor on rows {i, j}, columns {k, l}.
 
     This is ``e(i,k) + e(j,l) - e(i,l) - e(j,k)`` after symmetric-pair
-    normalization; coinciding pairs accumulate.
+    normalization, dense in the column order of ``variable_multisets(2,
+    n)``; coinciding pairs accumulate.
     """
     for idx in (i, j, k, l):
         if not 1 <= idx <= n:
@@ -234,10 +173,10 @@ def minor_vector(i: int, j: int, k: int, l: int, n: int) -> LatticeVector:
     vec[pos[pair(j, l)]] += 1
     vec[pos[pair(i, l)]] -= 1
     vec[pos[pair(j, k)]] -= 1
-    return LatticeVector(n, tuple(vec))
+    return tuple(vec)
 
 
-def veronese_lattice_basis(n: int) -> list[LatticeVector]:
+def veronese_lattice_basis(n: int) -> list[tuple[int, ...]]:
     """Basis of the kernel lattice of the weight-2 grading matrix.
 
     The basis consists of the 2-minor vectors on row pairs {i, j} of
@@ -252,7 +191,7 @@ def veronese_lattice_basis(n: int) -> list[LatticeVector]:
             for i in range(1, n) for j in range(i, n)]
 
 
-def principal_minor_basis(n: int) -> list[LatticeVector]:
+def principal_minor_basis(n: int) -> list[tuple[int, ...]]:
     """Minimal generating set of the principal-minor lattice.
 
     Doubles of the off-diagonal kernel basis vectors together with the
@@ -261,15 +200,8 @@ def principal_minor_basis(n: int) -> list[LatticeVector]:
     if n < 2:
         raise IndexOutOfRange("need n >= 2")
     check_size(2, n)
-    doubled = [minor_vector(i, n, j, n, n).scaled(2)
+    doubled = [tuple(2 * v for v in minor_vector(i, n, j, n, n))
                for i in range(1, n) for j in range(i + 1, n)]
     diagonal = [minor_vector(i, n, i, n, n) for i in range(1, n)]
     return doubled + diagonal
 
-
-def basis_matrix(vectors: list[LatticeVector]) -> IntMatrix:
-    """Stack lattice vectors as the columns of an integer matrix."""
-    if not vectors:
-        raise IndexOutOfRange("empty vector list")
-    rows = len(vectors[0].entries)
-    return IntMatrix.from_columns([v.entries for v in vectors], rows=rows)

@@ -113,6 +113,29 @@ def test_colon_membership_cli(capsys, monkeypatch):
     assert code == 1 and out.strip() == "no"
 
 
+# Exit 1 means "not a member", so malformed input must not reach it.
+MALFORMED_INPUT_COMMANDS = [["member", "--ideal", "jn", "-n", "2"],
+                            ["colon", "-n", "2"],
+                            ["twist", "--signs", "12:-"]]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INPUT_COMMANDS)
+def test_a_zero_denominator_is_a_usage_error(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, argv, stdin="1/0*x11",
+                         monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert "1/0" in err
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INPUT_COMMANDS)
+@pytest.mark.parametrize("text", ["1/2/3*x11", "2*x11/3"])
+def test_a_slash_outside_the_grammar_is_a_usage_error(capsys, monkeypatch,
+                                                      argv, text):
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert "'/'" in err
+
+
 def test_verify_link_cli(capsys):
     code, out, _ = run(capsys, ["verify-link", "-n", "3", "--bound", "6"])
     assert code == 0
@@ -291,7 +314,9 @@ def test_text_output_reparses(capsys):
     assert render_poly(parse_poly(out, n=4)) == out.strip()
 
 # SHA-256 of the stdout of ``python -m verolink.cli ARGS``, pinned so
-# that a change to the verification route cannot change a record stream.
+# that a change to the verification route, or to the lattice and grading
+# values behind ``grading``, ``basis`` and ``torsion``, cannot change what
+# is printed.
 RECORD_STREAM_DIGESTS = {
     "verify-decomp --json -n 4 --bound 10":
         "e6b69ef7c561872bd2e44500ffd48859fe9ae33326c1365fa64d1a65b1709d3d",
@@ -315,6 +340,18 @@ RECORD_STREAM_DIGESTS = {
         "e43881956af94cabc7534ff8a588428399c6b541e57752f6a0c275d49cdd2cf8",
     "pplus -n 5 -i 3":
         "9ed34c316f152698a49647b472ae45a7e81b6eb92a8c376bb7c448570d39fa4f",
+    "grading -d 2 -n 6":
+        "3dbafa8755cc1be4c490d854d2af5009ea560c1254e11b6d79173055331f6ea3",
+    "grading --json -d 3 -n 4":
+        "e0c0295d9e4648c7456d52f5277b4b6ce5f5e62c482c86d1c7f5685ff5f56300",
+    "basis -n 5":
+        "973ed7d5a4dcfb49b7780902f34f9c0441cc7ee74d8b6dc0e3f78c0e8ebcb04a",
+    "basis -n 2 --prime":
+        "412a2a7ea117861144404457b58cbdcd8ff97ef0cc6c1133f6f5d4e244ed4743",
+    "basis --json -n 4 --prime":
+        "5df76b72015fe2af4a39b6289ecf84594b13b05536c4d35e7c5d7c361dddb416",
+    "torsion --json -d 3 -n 5":
+        "472026bc8b0e55d4629f504f2f5ef8663043463285d2785f4ee36a8f1410b32b",
 }
 
 

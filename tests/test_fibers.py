@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from verolink.errors import SizeCapExceeded
+from verolink.errors import SizeCapExceeded, SizeMismatch
 from verolink.fibers import (_fibers_of_sum, _raw_fiber,
                              canonical_representative, class_count, class_key,
                              connectivity_classes, degrees_up_to,
@@ -22,15 +22,15 @@ from verolink.veronese import Monomial, pair_count, veronese_matrix
 
 def box_fiber(V, b):
     """All solutions of V u = b by bounding-box scan (slow, independent)."""
-    cols = V.matrix.columns()
+    cols = V.columns()
     bounds = []
     for col in cols:
-        bound = min((b[i] // col[i] for i in range(V.n) if col[i]), default=0)
+        bound = min((b[i] // col[i] for i in range(V.rows) if col[i]), default=0)
         bounds.append(bound)
     out = []
     for exps in product(*(range(x + 1) for x in bounds)):
         image = [sum(col[i] * e for col, e in zip(cols, exps))
-                 for i in range(V.n)]
+                 for i in range(V.rows)]
         if tuple(image) == tuple(b):
             out.append(exps)
     return sorted(out)
@@ -40,14 +40,14 @@ def box_fiber(V, b):
                                (4, 2, 2), (3, 3, 2)])
 def test_fiber_matches_box_oracle_n3(b):
     V = veronese_matrix(2, 3)
-    assert [m.exps for m in enumerate_fiber(V.n, b)] == box_fiber(V, b)
+    assert [m.exps for m in enumerate_fiber(3, b)] == box_fiber(V, b)
 
 
 @pytest.mark.parametrize("b", [(1, 1, 1, 1), (2, 2, 2, 2), (2, 1, 1, 0),
                                (3, 1, 1, 1)])
 def test_fiber_matches_box_oracle_n4(b):
     V = veronese_matrix(2, 4)
-    assert [m.exps for m in enumerate_fiber(V.n, b)] == box_fiber(V, b)
+    assert [m.exps for m in enumerate_fiber(4, b)] == box_fiber(V, b)
 
 
 def test_fiber_golden_n3():
@@ -97,7 +97,7 @@ def test_the_size_cap_counts_the_monomials_of_a_level(monkeypatch):
 def test_degree_round_trip():
     V = veronese_matrix(2, 4)
     u = Monomial.from_pairs(4, {(1, 2): 1, (4, 4): 1})
-    assert u.degree() == V.matrix.mul_vector(u.exps) == (1, 1, 0, 2)
+    assert u.degree() == V.mul_vector(u.exps) == (1, 1, 0, 2)
 
 
 def test_fiber_enumeration_weight_three():
@@ -108,7 +108,7 @@ def test_fiber_enumeration_weight_three():
     assert _raw_fiber(3, 2, (2, 1)) == [(0, 1, 0, 0)]
     assert _raw_fiber(3, 2, (1, 1)) == []
     for b in [(3, 3), (2, 1)]:
-        assert all(V.matrix.mul_vector(u) == b for u in _raw_fiber(3, 2, b))
+        assert all(V.mul_vector(u) == b for u in _raw_fiber(3, 2, b))
 
 
 # -- class keys ---------------------------------------------------------------
@@ -175,6 +175,14 @@ def test_connectivity_matches_class_key(n):
             == sorted(sorted(g) for g in by_key.values())
 
 
+def test_a_move_of_another_size_is_refused():
+    # Moves are dense over the binom(n+1, 2) pair variables of their own n.
+    for other in (3, 5):
+        with pytest.raises(SizeMismatch):
+            connectivity_classes(4, (2, 2, 2, 2),
+                                 principal_moves(4) + principal_moves(other)[:1])
+
+
 def test_restricted_move_set_splits_a_class():
     # With only the principal-minor *basis* as moves (doubled off-diagonal
     # vectors plus last-column diagonals), the fiber of (2, 2, 0) falls
@@ -195,7 +203,7 @@ def test_basis_moves_preserve_class_key():
         fiber = enumerate_fiber(4, b)
         for m in rng.sample(fiber, min(6, len(fiber))):
             for move in principal_minor_basis(4):
-                stepped = tuple(x + y for x, y in zip(m.exps, move.entries))
+                stepped = tuple(x + y for x, y in zip(m.exps, move))
                 if all(x >= 0 for x in stepped):
                     assert class_key(Monomial(4, stepped)) == class_key(m)
 
@@ -208,7 +216,7 @@ def test_off_basis_kernel_moves_flip_a_parity():
     fiber = enumerate_fiber(4, (2, 2, 2, 2))
     flipped = 0
     for m in fiber:
-        stepped = tuple(x + y for x, y in zip(m.exps, move.entries))
+        stepped = tuple(x + y for x, y in zip(m.exps, move))
         if all(x >= 0 for x in stepped):
             k1, k2 = class_key(m), class_key(Monomial(4, stepped))
             assert k1.parities != k2.parities

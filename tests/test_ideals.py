@@ -93,7 +93,7 @@ def test_minor_exponent_vectors_match_brackets():
             b = multidegree(g)
             pair_ij = [idx + 1 for idx, x in enumerate(b) if x == 2]
             i, j = pair_ij
-            assert vec == minor_vector(i, j, i, j, n).entries
+            assert vec == minor_vector(i, j, i, j, n)
 
 
 def test_higher_gens_weight2_matches_principal_lattice():
@@ -126,7 +126,7 @@ def test_higher_gens_count_d3_n4():
     assert len(gens) == 16  # 20 columns minus the 4 diagonal ones
     V = veronese_matrix(3, 4)
     for vec in gens:
-        assert V.matrix.mul_vector(vec) == (0, 0, 0, 0)
+        assert V.mul_vector(vec) == (0, 0, 0, 0)
 
 
 def test_binomial_vector_rejects_non_binomials():

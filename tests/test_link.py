@@ -108,7 +108,7 @@ def test_saturation_identity_n3_by_hand():
     lhs = SparsePoly.variable(3, 3, 3) * saturated_fiber_poly(3, 1)
     rhs = SparsePoly.variable(3, 1, 3) * zonotope_poly(3)
     assert normal_form(lhs) == normal_form(rhs)
-    assert sorted(nf for nf in normal_form(lhs).coefficients.values()) == \
+    assert sorted(nf for nf in normal_form(lhs).values()) == \
         [Fraction(1), Fraction(1)]
 
 
@@ -171,8 +171,8 @@ def test_longest_polynomial_property():
                 b = multidegree(product)
                 if b not in counts:
                     counts[b] = class_count(n, b)
-                assert len(nf.coefficients) == counts[b]
-                assert set(nf.coefficients.values()) == {Fraction(1)}
+                assert len(nf) == counts[b]
+                assert set(nf.values()) == {Fraction(1)}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

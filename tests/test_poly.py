@@ -200,12 +200,16 @@ def test_all_characters_count_and_order():
 # -- normal forms ------------------------------------------------------------
 
 def test_normal_form_of_generator_vanishes():
-    assert normal_form(parse_poly("x11*x22 - x12*x12", n=3)).is_zero()
+    assert normal_form(parse_poly("x11*x22 - x12*x12", n=3)) == {}
 
 
 def test_normal_form_of_minor_has_two_classes():
     nf = normal_form(parse_poly("x11*x23 - x12*x13"))
-    assert sorted(nf.coefficients.values()) == [Fraction(-1), Fraction(1)]
+    assert sorted(nf.values()) == [Fraction(-1), Fraction(1)]
+
+
+def test_normal_form_of_zero_is_empty():
+    assert normal_form(SparsePoly.zero(3)) == {}
 
 
 def test_normal_form_inhomogeneous_raises():
@@ -250,8 +254,7 @@ def test_monomial_multiple_keeps_class_support_size():
     from verolink.link import saturated_fiber_poly
     p = saturated_fiber_poly(4, 1)
     m = SparsePoly.monomial(Monomial.from_pairs(4, {(1, 2): 1, (3, 4): 1}))
-    assert len(normal_form(m * p).coefficients) == \
-        len(normal_form(p).coefficients)
+    assert len(normal_form(m * p)) == len(normal_form(p))
 
 
 def test_basepoint_independence_of_membership():
@@ -301,7 +304,7 @@ def _membership_samples(seed, count):
 
 
 def _reference_in_principal_minor_ideal(p):
-    return all(normal_form(q).is_zero() for q in degree_split(p).values())
+    return all(normal_form(q) == {} for q in degree_split(p).values())
 
 
 def _reference_in_twisted_veronese(p, eps):
@@ -396,6 +399,26 @@ def test_parse_rejects_garbage():
         parse_poly("")
     with pytest.raises(SizeMismatch):
         parse_poly("x14", n=3)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0*x11", "1/0"), ("x12 - 3/00*x11*x22", "3/00")])
+def test_parse_names_a_zero_denominator(text, message):
+    with pytest.raises(ValueError, match=f"zero denominator.*{message}"):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("text", ["1/2/3*x11", "2/2/3*x11", "x12 + 1/2/3"])
+def test_parse_rejects_a_second_slash(text):
+    # The grammar is integer ["/" integer]; 1/2/3 is not read as 1/6.
+    with pytest.raises(ValueError, match="second '/'"):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("text", ["2*x11/3", "x11/2", "/2*x11"])
+def test_parse_rejects_a_slash_outside_the_coefficient(text):
+    with pytest.raises(ValueError, match="misplaced '/'"):
+        parse_poly(text)
 
 
 def test_spec_strings():

@@ -23,9 +23,9 @@ from verolink.fibers import (_class_maxima, _fibers_of_sum, _raw_fiber,
                              class_key, degrees_up_to, enumerate_fiber,
                              off_diagonal_parities)
 from verolink.link import link_generators
-from verolink.poly import (ClassVector, SignCharacter, SparsePoly, Twisting,
-                           all_characters, character_pairs, character_value,
-                           normal_form, parse_poly, render_poly, twist)
+from verolink.poly import (SignCharacter, SparsePoly, Twisting, all_characters,
+                           character_pairs, character_value, normal_form,
+                           parse_poly, render_poly, twist)
 from verolink.veronese import Monomial, pair_count, variable_multisets
 from verolink.verify import (_decide_degree, _prepared, _restrictor,
                              _split_edges, ideal_degree_piece,
@@ -159,11 +159,13 @@ def test_normal_form_is_linear(data):
     b = data.draw(monomials(n)).degree()
     f, g = (data.draw(homogeneous_polys(n, b)) for _ in range(2))
     a = data.draw(coeffs)
-    expected = dict(normal_form(g).coefficients)
-    for key, c in normal_form(f).coefficients.items():
+    expected = dict(normal_form(g))
+    for key, c in normal_form(f).items():
         expected[key] = expected.get(key, 0) + a * c
     expected = {key: c for key, c in expected.items() if c}
-    assert normal_form(a * f + g) == ClassVector(degree=b, coefficients=expected)
+    got = normal_form(a * f + g)
+    assert got == expected
+    assert all(key.degree == b for key in got)
 
 
 @PROPERTY

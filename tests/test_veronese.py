@@ -2,12 +2,18 @@
 
 import pytest
 
+from verolink.cli import main
 from verolink.errors import IndexOutOfRange, SizeCapExceeded
 from verolink.exactlin import smith_normal_form
-from verolink.veronese import (Monomial, basis_matrix,
-                               check_size, minor_vector, pair_count,
+from verolink.ideals import generator_lattice
+from verolink.veronese import (Monomial, check_size, minor_vector, pair_count,
                                principal_minor_basis, variable_multisets,
                                veronese_lattice_basis, veronese_matrix)
+
+
+def support(v, n):
+    """The nonzero entries of a dense weight-2 vector, keyed by pair."""
+    return {ij: c for ij, c in zip(variable_multisets(2, n), v) if c}
 
 
 def test_pair_count_values():
@@ -18,23 +24,27 @@ def test_pair_count_values():
 
 def test_veronese_matrix_golden_n3():
     V = veronese_matrix(2, 3)
-    assert V.matrix.data == [[2, 1, 1, 0, 0, 0],
-                             [0, 1, 0, 2, 1, 0],
-                             [0, 0, 1, 0, 1, 2]]
-    assert V.columns == ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+    assert V.data == [[2, 1, 1, 0, 0, 0],
+                      [0, 1, 0, 2, 1, 0],
+                      [0, 0, 1, 0, 1, 2]]
+    # Column k counts the rows of the k-th multiset.
+    columns = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+    assert variable_multisets(2, 3) == columns
+    assert V.columns() == [tuple(ms.count(i) for i in (1, 2, 3))
+                           for ms in columns]
 
 
 def test_veronese_matrix_small_weights():
-    assert veronese_matrix(2, 2).matrix.columns() == [(2, 0), (1, 1), (0, 2)]
-    assert veronese_matrix(3, 2).matrix.columns() == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    assert veronese_matrix(2, 2).columns() == [(2, 0), (1, 1), (0, 2)]
+    assert veronese_matrix(3, 2).columns() == [(3, 0), (2, 1), (1, 2), (0, 3)]
 
 
 def test_veronese_matrix_column_count():
     # Column count for weight two is binom(n+1, 2).
     for n in range(2, 7):
         V = veronese_matrix(2, n)
-        assert V.matrix.cols == pair_count(n + 1)
-        for col in V.matrix.columns():
+        assert V.cols == pair_count(n + 1)
+        for col in V.columns():
             assert sum(col) == 2
             assert all(x >= 0 for x in col)
 
@@ -49,25 +59,24 @@ def test_size_guard():
 # -- minor vectors ---------------------------------------------------------
 
 def test_minor_vector_coinciding_pairs_accumulate():
-    v = minor_vector(1, 2, 1, 2, 2)
-    assert v.get(1, 1) == 1
-    assert v.get(2, 2) == 1
-    assert v.get(1, 2) == -2
+    # Columns (1,1), (1,2), (2,2).
+    assert minor_vector(1, 2, 1, 2, 2) == (1, -2, 1)
 
 
 def test_minor_vector_direct_expansion():
     # e(1,2) + e(3,3) - e(1,3) - e(2,3) read off the defining sum.
     v = minor_vector(1, 3, 2, 3, 3)
-    assert dict(v.support_pairs()) == {(1, 2): 1, (3, 3): 1,
-                                       (1, 3): -1, (2, 3): -1}
+    assert support(v, 3) == {(1, 2): 1, (3, 3): 1, (1, 3): -1, (2, 3): -1}
     w = minor_vector(1, 2, 3, 4, 4)
-    assert dict(w.support_pairs()) == {(1, 3): 1, (2, 4): 1,
-                                       (1, 4): -1, (2, 3): -1}
+    assert support(w, 4) == {(1, 3): 1, (2, 4): 1, (1, 4): -1, (2, 3): -1}
 
 
-def test_lattice_vector_string():
+def test_lattice_vector_string(capsys):
+    # ``basis`` prints a vector as its ij:c entries.
     v = minor_vector(1, 3, 1, 3, 3)
-    assert str(v) == "11:1 13:-2 33:1"
+    assert veronese_lattice_basis(3)[0] == v
+    assert main(["basis", "-n", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "11:1 13:-2 33:1"
 
 
 # -- kernel and principal-minor bases ---------------------------------------
@@ -82,27 +91,27 @@ def test_kernel_basis_in_kernel():
     for n in range(2, 7):
         V = veronese_matrix(2, n)
         for v in veronese_lattice_basis(n) + principal_minor_basis(n):
-            assert V.matrix.mul_vector(v.entries) == (0,) * n
+            assert V.mul_vector(v) == (0,) * n
 
 
 def test_kernel_basis_saturated():
     # The Smith form of the basis matrix has all invariant factors one.
     for n in range(2, 7):
-        B = basis_matrix(veronese_lattice_basis(n))
+        B = generator_lattice(veronese_lattice_basis(n))
         assert all(d == 1 for d in smith_normal_form(B).invariant_factors)
 
 
 def test_principal_basis_n3_members():
     doubled, diag1, diag2 = principal_minor_basis(3)
-    assert doubled.entries == minor_vector(1, 3, 2, 3, 3).scaled(2).entries
-    assert diag1.entries == minor_vector(1, 3, 1, 3, 3).entries
-    assert diag2.entries == minor_vector(2, 3, 2, 3, 3).entries
+    assert doubled == tuple(2 * x for x in minor_vector(1, 3, 2, 3, 3))
+    assert diag1 == minor_vector(1, 3, 1, 3, 3)
+    assert diag2 == minor_vector(2, 3, 2, 3, 3)
 
 
 def test_principal_basis_n2_single_vector():
     basis = principal_minor_basis(2)
     assert len(basis) == 1
-    assert basis[0].entries == minor_vector(1, 2, 1, 2, 2).entries
+    assert basis[0] == minor_vector(1, 2, 1, 2, 2)
 
 
 # -- monomials ---------------------------------------------------------------
@@ -150,7 +159,7 @@ def test_multiset_order_is_lexicographic():
 def test_principal_basis_spans_index_two_sublattice_n3():
     # Elementary divisors of the principal-minor lattice inside the full
     # ambient integer lattice: two ones and a single two.
-    B = basis_matrix(principal_minor_basis(3))
+    B = generator_lattice(principal_minor_basis(3))
     assert smith_normal_form(B).invariant_factors == [1, 1, 2]
 
 
@@ -160,8 +169,8 @@ def test_kernel_routes_agree():
     from verolink.exactlin import column_lattice_basis, kernel_lattice
     for n in range(2, 7):
         V = veronese_matrix(2, n)
-        K = kernel_lattice(V.matrix)
+        K = kernel_lattice(V)
         assert K.cols == pair_count(n)
-        B = basis_matrix(veronese_lattice_basis(n))
+        B = generator_lattice(veronese_lattice_basis(n))
         assert column_lattice_basis(K).columns() \
             == column_lattice_basis(B).columns()
