@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from itertools import groupby
 
-from .errors import SizeCapExceeded, VerolinkError
+from .errors import SizeCapExceeded, SizeMismatch, VerolinkError
 from .fibers import enumerate_fiber, fiber_classes, hilbert_table
 from .link import saturated_fiber_poly, zonotope_poly
 from .poly import (SignCharacter, SparsePoly, Twisting,
@@ -179,11 +179,14 @@ def cmd_pplus(args) -> int:
 
 def cmd_twist(args) -> int:
     signs = parse_sign_spec(args.signs)
+    top = max((j for _, j in signs), default=0)
+    if args.n is not None and top > args.n:
+        raise SizeMismatch(f"sign index {top} exceeds n={args.n}")
     text = sys.stdin.read()
-    probe = parse_poly(text)
-    n = max([probe.n] + [j for _, j in signs] + ([args.n] if args.n else []))
-    p = probe if n == probe.n else parse_poly(text, n)
-    out = twist(p, Twisting(n, signs))
+    p = parse_poly(text, args.n)
+    if top > p.n:
+        p = parse_poly(text, top)
+    out = twist(p, Twisting(p.n, signs))
     _emit(args, poly_to_json(out), [render_poly(out)])
     return 0
 

@@ -1,13 +1,14 @@
 """Exact integer and rational linear algebra.
 
 Everything here runs over Python ints (arbitrary precision) or
-``fractions.Fraction``; there is no floating point anywhere.  Ranks,
-nullspaces, reduced echelon forms and rational solves all run on one
-fraction-free elimination kernel, ``_int_rref``, over integer rows;
-rational input is scaled row by row to integers first.  A rank stops at
-the echelon form; reduced echelon forms, nullspaces and solves also
-reduce the rows above each pivot.  The integer normal forms return
-their unimodular transforms so callers can certify results instead of
+``fractions.Fraction``; there is no floating point anywhere.  One
+Euclidean elimination loop, ``_echelon``, brings integer rows to echelon
+form, and every rank, reduced echelon form, nullspace, rational solve,
+Hermite form, Smith form and lattice basis runs on it; rational input is
+scaled row by row to integers first.  A rank counts its pivots; a
+reduced echelon form back-substitutes its rows; a Hermite form reduces
+the entries above each pivot.  The integer normal forms return their
+unimodular transforms so callers can certify results instead of
 trusting them:
 
 * ``hermite_normal_form(M)`` returns ``(H, U)`` with ``U @ M == H``.
@@ -19,7 +20,8 @@ with positive pivots and entries above a pivot reduced into
 form alternates row and column Hermite forms until the matrix is
 diagonal, and lattice coordinates are read off Hermite basis rows.  A
 Hermite form whose transform would be discarded (the Smith rounds and
-lattice bases) builds none.
+lattice bases) builds none.  Only ``det`` eliminates on its own, by
+Bareiss steps, so that it can check the transforms independently.
 """
 
 from __future__ import annotations
@@ -170,23 +172,29 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix(H, cols=M.cols), IntMatrix(U, cols=M.rows)
 
 
-def _hermite(H: list[list[int]], U: list[list[int]] | None) -> None:
-    """Bring the rows H to Hermite form in place, applying each row
-    operation to U as well; U is None when the caller discards it.
+def _row_sub(H: list[list[int]], U: list[list[int]] | None,
+             i: int, k: int, q: int, pc: int) -> None:
+    """Row i minus q times row k, in H and in U; both rows are zero left
+    of column pc in H, so only columns ``pc..`` of H are rewritten."""
+    if q:
+        Hi, Hk = H[i], H[k]
+        H[i] = Hi[:pc] + [x - q * y for x, y in zip(Hi[pc:], Hk[pc:])]
+        if U is not None:
+            U[i] = [x - q * y for x, y in zip(U[i], U[k])]
 
-    At pivot column pc, every row from the pivot row down is zero left
-    of pc, so a row operation rewrites only columns ``pc..``.
+
+def _echelon(H: list[list[int]], U: list[list[int]] | None) -> list[int]:
+    """Bring the rows H to row echelon form in place by Euclidean steps,
+    applying each row operation to U as well; U is None when the caller
+    discards it.  Returns the pivot columns.
+
+    Pivots are positive and the zero rows come last.  At pivot column
+    pc, every row from the pivot row down is zero left of pc, and no
+    step reads a row above it.
     """
     rows = len(H)
     cols = len(H[0]) if rows else 0
-
-    def row_sub(i, k, q, pc):
-        if q:
-            Hi, Hk = H[i], H[k]
-            H[i] = Hi[:pc] + [x - q * y for x, y in zip(Hi[pc:], Hk[pc:])]
-            if U is not None:
-                U[i] = [x - q * y for x, y in zip(U[i], U[k])]
-
+    pivots = []
     pr = 0
     for pc in range(cols):
         if pr >= rows:
@@ -208,20 +216,34 @@ def _hermite(H: list[list[int]], U: list[list[int]] | None) -> None:
             clean = True
             for i in range(pr + 1, rows):
                 if H[i][pc]:
-                    row_sub(i, pr, H[i][pc] // H[pr][pc], pc)
+                    _row_sub(H, U, i, pr, H[i][pc] // H[pr][pc], pc)
                     if H[i][pc]:
                         clean = False
             if clean:
                 break
-        if all(H[i][pc] == 0 for i in range(pr, rows)):
+        if best is None:
             continue
         if H[pr][pc] < 0:
             H[pr] = [-x for x in H[pr]]
             if U is not None:
                 U[pr] = [-x for x in U[pr]]
-        for i in range(pr):
-            row_sub(i, pr, H[i][pc] // H[pr][pc], pc)
+        pivots.append(pc)
         pr += 1
+    return pivots
+
+
+def _hermite(H: list[list[int]], U: list[list[int]] | None) -> None:
+    """Bring the rows H to Hermite form in place, applying each row
+    operation to U as well; U is None when the caller discards it.
+
+    After the echelon form, the entries above each pivot are reduced
+    into ``[0, pivot)``, pivot by pivot from the left.  No echelon step
+    reads a row above its pivot, so H and U are the same as if each
+    column were reduced as soon as its pivot is found.
+    """
+    for pr, pc in enumerate(_echelon(H, U)):
+        for i in range(pr):
+            _row_sub(H, U, i, pr, H[i][pc] // H[pr][pc], pc)
 
 
 def _hermite_carrying(A: IntMatrix, T: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -390,54 +412,6 @@ def invariant_factors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
     return [d for d in factors if d > 1]
 
 
-def _int_rref(a: list[list[int]], echelon_only: bool = False
-              ) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free fully reduced row echelon form of integer rows.
-
-    Rows are updated by cross-multiplication and renormalized by their
-    gcd, so all arithmetic stays in the integers; pivot entries end up
-    positive but not necessarily one, and the zero rows come last.  Left
-    of pivot column c the pivot row is zero, so an update rewrites only
-    columns ``c..`` and scales the rest by the pivot.  With
-    ``echelon_only`` the rows above each pivot are left unreduced: the
-    rows from the pivot down, and so the pivots, are the same, which is
-    all a rank needs.  Mutates ``a`` and returns (rows, pivot column
-    indices).
-    """
-    m = len(a)
-    k = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(k):
-        if r >= m:
-            break
-        best = None
-        for i in range(r, m):
-            v = a[i][c]
-            if v and (best is None or abs(v) < abs(a[best][c])):
-                best = i
-        if best is None:
-            continue
-        a[r], a[best] = a[best], a[r]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        tail = a[r][c:]
-        p = tail[0]
-        for i in range(r + 1 if echelon_only else 0, m):
-            row = a[i]
-            v = row[c]
-            if i == r or not v:
-                continue
-            # Rows below the pivot are zero left of c as well.
-            head = row[:c] if p == 1 or i > r else [x * p for x in row[:c]]
-            row = head + [x * p - v * y for x, y in zip(row[c:], tail)]
-            g = gcd(*row)
-            a[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
 def clear_denominators(values) -> list[int]:
     """Exact rationals times the lcm of their denominators.
 
@@ -448,7 +422,7 @@ def clear_denominators(values) -> list[int]:
 
 
 def _as_int_rows(M: IntMatrix | RatMatrix) -> list[list[int]]:
-    """Integer rows for ``_int_rref``, always a fresh copy it may mutate.
+    """Integer rows for ``_echelon``, always a fresh copy it may mutate.
 
     IntMatrix rows are copied as they are; rational rows are cleared of
     denominators, which preserves the row space.
@@ -459,14 +433,29 @@ def _as_int_rows(M: IntMatrix | RatMatrix) -> list[list[int]]:
 
 
 def rational_rref(M: IntMatrix | RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with unit pivots; returns (rows, pivots)."""
-    a, pivots = _int_rref(_as_int_rows(M))
+    """Reduced row echelon form with unit pivots; returns (rows, pivots).
+
+    The echelon rows are reduced from the last pivot up: a row clears
+    each later pivot column against the finished row of that pivot by
+    cross-multiplication, and is divided by its gcd, so the arithmetic
+    stays in the integers until the final division by the pivot.
+    """
+    a = _as_int_rows(M)
+    pivots = _echelon(a, None)
+    for r in reversed(range(len(pivots))):
+        row = a[r]
+        for s in range(r + 1, len(pivots)):
+            v, p = row[pivots[s]], a[s][pivots[s]]
+            if v:
+                row = [x * p - v * y for x, y in zip(row, a[s])]
+        g = gcd(*row)
+        a[r] = [x // g for x in row]
     scales = [row[c] for row, c in zip(a, pivots)] + [1] * (len(a) - len(pivots))
     return [[Fraction(x, s) for x in row] for row, s in zip(a, scales)], pivots
 
 
 def rational_rank(M: IntMatrix | RatMatrix) -> int:
-    return len(_int_rref(_as_int_rows(M), echelon_only=True)[1])
+    return len(_echelon(_as_int_rows(M), None))
 
 
 def rational_nullspace(M: IntMatrix | RatMatrix) -> RatMatrix:
@@ -475,7 +464,7 @@ def rational_nullspace(M: IntMatrix | RatMatrix) -> RatMatrix:
     For each free column f the basis vector has entry 1 at f, so
     ``rank(M) + returned columns == cols(M)``.
     """
-    a, pivots = _int_rref(_as_int_rows(M))
+    rows, pivots = rational_rref(M)
     k = M.cols
     pivot_set = set(pivots)
     basis = []
@@ -484,8 +473,8 @@ def rational_nullspace(M: IntMatrix | RatMatrix) -> RatMatrix:
             continue
         vec = [Fraction(0)] * k
         vec[f] = Fraction(1)
-        for row_idx, c in enumerate(pivots):
-            vec[c] = Fraction(-a[row_idx][f], a[row_idx][c])
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][f]
         basis.append(vec)
     return RatMatrix.from_columns(basis, rows=k)
 

@@ -388,6 +388,7 @@ def degrees_up_to(n: int, bound: int):
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
+    check_size(2, n)
     for s in range(0, bound + 1, 2):
         yield from compositions(s, n)
 

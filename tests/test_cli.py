@@ -227,6 +227,39 @@ def test_a_negative_max_sum_is_a_usage_error(capsys):
     assert "max sum" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_hilbert_with_no_variables_is_a_usage_error(capsys, n):
+    # Exit 1 would read as a negative verdict; no variable is no table.
+    code, out, err = run(capsys, ["hilbert", "-n", n, "--max-sum", "2"])
+    assert code == 2 and out == ""
+    assert "n >= 1" in err
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["twist", "-n", "2"], "x33 - x13*x13", "variable index 3 exceeds n=2"),
+    (["twist", "-n", "0"], "x33 - x13*x13", "variable index 3 exceeds n=0"),
+    (["twist", "-n", "2", "--signs", "13:-"], "x33 - x13*x13",
+     "sign index 3 exceeds n=2"),
+    (["twist", "-n", "2", "--signs", "13:-"], "x12", "sign index 3 exceeds n=2")])
+def test_twist_keeps_an_explicit_n(capsys, monkeypatch, argv, text, message):
+    # As in member and colon, an index above -n is refused, not widened.
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, text, twisted", [
+    (["twist"], "x33 - x13*x13", "-x13*x13 + x33"),
+    (["twist", "--signs", "13:-"], "x13*x22", "-x13*x22"),
+    (["twist", "--signs", "13:-"], "x12", "x12"),
+    (["twist", "-n", "3", "--signs", "13:-"], "x13*x22", "-x13*x22"),
+    (["twist", "-n", "4", "--signs", "13:-"], "x13", "-x13")])
+def test_twist_infers_n_or_takes_one_wide_enough(capsys, monkeypatch, argv,
+                                                 text, twisted):
+    code, out, _ = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 0 and out == twisted + "\n"
+
+
 @pytest.mark.parametrize("k", ["0", "8"])
 def test_laurent_check_outside_its_range_is_a_usage_error(capsys, k):
     code, out, err = run(capsys, ["laurent-check", "-k", k])

@@ -298,6 +298,52 @@ def test_det_small_cases():
     assert det(IntMatrix([[0, 1], [1, 0]])) == -1
 
 
+# -- the one elimination loop ----------------------------------------------
+
+# Full column rank, so solve_rational(M, M) has its unique solution; the
+# transpose has a kernel.
+ONE_LOOP_MATRIX = IntMatrix([[2, 1, 0], [4, -3, 5], [1, 1, 1], [0, 6, -2]])
+ROW_REDUCTIONS = {
+    "rational_rank": rational_rank,
+    "rational_rref": rational_rref,
+    "rational_nullspace": lambda M: rational_nullspace(M.transpose()),
+    "solve_rational": lambda M: solve_rational(M, M),
+    "hermite_normal_form": hermite_normal_form,
+    "smith_normal_form": smith_normal_form,
+    "kernel_lattice": lambda M: kernel_lattice(M.transpose()),
+    "column_lattice_basis": column_lattice_basis,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_REDUCTIONS))
+def test_every_row_reduction_runs_the_echelon_pass(monkeypatch, name):
+    reduce_ = ROW_REDUCTIONS[name]
+    expected = reduce_(ONE_LOOP_MATRIX)
+    calls = []
+    echelon = exactlin._echelon
+
+    def counting(H, U):
+        calls.append(len(H))
+        return echelon(H, U)
+
+    monkeypatch.setattr(exactlin, "_echelon", counting)
+    assert reduce_(ONE_LOOP_MATRIX) == expected
+    assert calls
+
+
+@pytest.mark.parametrize("name", ["rational_rank", "rational_rref",
+                                  "rational_nullspace"])
+def test_ranks_and_echelon_forms_need_no_hermite_form(monkeypatch, name):
+    reduce_ = ROW_REDUCTIONS[name]
+    expected = reduce_(ONE_LOOP_MATRIX)
+
+    def refuse(H, U):
+        raise AssertionError("a rational reduction reached the Hermite form")
+
+    monkeypatch.setattr(exactlin, "_hermite", refuse)
+    assert reduce_(ONE_LOOP_MATRIX) == expected
+
+
 # -- exact kernel outputs ----------------------------------------------------
 
 def _pinned_int_matrices():

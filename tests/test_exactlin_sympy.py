@@ -2,9 +2,9 @@
 forms against sympy.
 
 Every rank, nullspace, reduced echelon form and rational solve in
-``exactlin`` runs on the one fraction-free kernel; sympy's exact
-rational matrices are the independent reference.  Hermite and Smith
-forms are checked against ``sympy.matrices.normalforms``.
+``exactlin`` runs on the one Euclidean echelon pass, ``_echelon``;
+sympy's exact rational matrices are the independent reference.  Hermite
+and Smith forms are checked against ``sympy.matrices.normalforms``.
 """
 
 import random
@@ -93,6 +93,79 @@ def test_nullspace_is_a_kernel_basis(seed, fractional):
     if N.cols:
         assert (to_sympy(M) * to_sympy(N)).is_zero_matrix
         assert to_sympy(N).rank() == N.cols
+
+
+def check_rank_rref_nullspace(M):
+    """Rank, reduced echelon form and nullspace of M all equal sympy's.
+
+    sympy's nullspace has the same convention: a 1 at each free column
+    and minus that column of the reduced form at the pivots."""
+    S = to_sympy(M)
+    rows, pivots = rational_rref(M)
+    expected, expected_pivots = S.rref()
+    assert pivots == list(expected_pivots)
+    assert rows == to_fractions(expected)
+    assert rational_rank(M) == len(expected_pivots)
+    N = rational_nullspace(M)
+    assert [list(c) for c in N.columns()] == [
+        [Fraction(int(x.p), int(x.q)) for x in v] for v in S.nullspace()]
+
+
+def walsh_sign(s, g):
+    return -1 if (s & g).bit_count() & 1 else 1
+
+
+@pytest.mark.parametrize("k, dropped", [(k, s) for k in range(2, 6)
+                                        for s in range(1 << k)])
+def test_walsh_rows_with_one_row_dropped(k, dropped):
+    # The +-1 character matrices of laurent-check and _walsh_rank.
+    size = 1 << k
+    check_rank_rref_nullspace(IntMatrix(
+        [[walsh_sign(s, g) for g in range(size)]
+         for s in range(size) if s != dropped], cols=size))
+
+
+@pytest.mark.parametrize("k, s_star", [(k, s) for k in range(1, 6)
+                                       for s in range(1 << k)])
+def test_rank_one_translate_matrices(k, s_star):
+    # The translates of prod_i (1 + chi(t_i) t_i) in the group algebra
+    # of (Z/2)^k, as group_algebra_subintersection builds them.
+    size = 1 << k
+    q = [1] + [0] * (size - 1)
+    for i in range(k):
+        e = 1 << i
+        q = [q[g] + walsh_sign(s_star, e) * q[g ^ e] for g in range(size)]
+    M = IntMatrix([[q[g ^ h] for h in range(size)] for g in range(size)],
+                  cols=size)
+    assert rational_rank(M) == 1
+    check_rank_rref_nullspace(M)
+
+
+def large_entry_matrix(seed):
+    """Integer matrix up to 8x8: entries up to +-10^6, or Vandermonde
+    rows of small, sometimes repeated, nodes.
+
+    Both make the Euclidean steps below a pivot run longest."""
+    rng = random.Random(6000 + seed)
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    if seed % 4 == 3:
+        nodes = [rng.randint(-9, 9) for _ in range(rows)]
+        return IntMatrix([[x ** j for j in range(cols)] for x in nodes], cols=cols)
+    if seed % 4 == 1:
+        # A product through a narrower middle has lower rank.
+        mid = rng.randint(1, min(rows, cols))
+        left = IntMatrix([[rng.randint(-300, 300) for _ in range(mid)]
+                          for _ in range(rows)], cols=mid)
+        right = IntMatrix([[rng.randint(-300, 300) for _ in range(cols)]
+                           for _ in range(mid)], cols=cols)
+        return left.mul(right)
+    return IntMatrix([[rng.randint(-10 ** 6, 10 ** 6) for _ in range(cols)]
+                      for _ in range(rows)], cols=cols)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_large_entries_and_vandermonde_rows(seed):
+    check_rank_rref_nullspace(large_entry_matrix(seed))
 
 
 def full_column_rank(rng, fractional):
