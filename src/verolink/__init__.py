@@ -4,13 +4,12 @@ Veronese ideal and its principal-minor complete intersection."""
 from .errors import (DegreeMismatch, IndexNotFinite, IndexOutOfRange,
                      Inhomogeneous, NotOdd, SizeCapExceeded, SizeMismatch,
                      VerolinkError, ZeroPolynomial)
-from .exactlin import (IntMatrix, RatMatrix, SnfResult, hermite_normal_form,
-                       invariant_factors, kernel_lattice, rational_nullspace,
-                       rational_rank, same_column_space, smith_normal_form)
-from .fibers import (FiberClassKey, class_count, class_key,
-                     connectivity_classes, enumerate_fiber,
-                     is_saturated_degree, minimal_saturated_fibers,
-                     principal_moves)
+from .exactlin import (IntMatrix, hermite_normal_form, invariant_factors,
+                       kernel_lattice, rational_nullspace, rational_rank,
+                       same_column_space, smith_normal_form)
+from .fibers import (class_count, class_key, connectivity_classes,
+                     enumerate_fiber, is_saturated_degree,
+                     minimal_saturated_fibers, principal_moves)
 from .ideals import (higher_veronese_gens, principal_minor_gens,
                      veronese_minor_gens)
 from .link import (LinkGenerators, check_saturation_identity, check_syzygy,

@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 from itertools import groupby
 
-from .errors import SizeCapExceeded, SizeMismatch, VerolinkError
+from .errors import (IndexOutOfRange, SizeCapExceeded, SizeMismatch,
+                     VerolinkError)
 from .fibers import enumerate_fiber, fiber_classes, hilbert_table
 from .link import saturated_fiber_poly, zonotope_poly
 from .poly import (SignCharacter, SparsePoly, Twisting,
@@ -210,6 +211,9 @@ def cmd_colon(args) -> int:
 
 
 def cmd_verify_link(args) -> int:
+    # Before the character, which needs n >= 1.
+    if args.n < 3:
+        raise IndexOutOfRange("need n >= 3")
     omitted = parse_character(args.omit, args.n)
     report = verify_link(args.n, omitted, args.bound)
     _emit(args, report.to_json_dict(), report.to_lines())

@@ -1,15 +1,15 @@
 """Exact integer and rational linear algebra.
 
-Everything here runs over Python ints (arbitrary precision) or
-``fractions.Fraction``; there is no floating point anywhere.  One
-Euclidean elimination loop, ``_echelon``, brings integer rows to echelon
-form, and every rank, reduced echelon form, nullspace, rational solve,
-Hermite form, Smith form and lattice basis runs on it; rational input is
-scaled row by row to integers first.  A rank counts its pivots; a
-reduced echelon form back-substitutes its rows; a Hermite form reduces
-the entries above each pivot.  The integer normal forms return their
-unimodular transforms so callers can certify results instead of
-trusting them:
+Every matrix here is an ``IntMatrix`` of Python ints (arbitrary
+precision); only reduced echelon forms and rational solves return
+``fractions.Fraction`` rows, and there is no floating point anywhere.
+One Euclidean elimination loop, ``_echelon``, brings integer rows to
+echelon form, and every rank, reduced echelon form, nullspace, rational
+solve, Hermite form, Smith form and lattice basis runs on it.  A rank
+counts its pivots; a reduced echelon form back-substitutes its rows; a
+Hermite form reduces the entries above each pivot.  The integer normal
+forms return tuples with their unimodular transforms, so callers can
+certify results instead of trusting them:
 
 * ``hermite_normal_form(M)`` returns ``(H, U)`` with ``U @ M == H``.
 * ``smith_normal_form(M)`` returns ``(U, S, W)`` with ``U @ M @ W == S``.
@@ -26,7 +26,6 @@ Bareiss steps, so that it can check the transforms independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -39,21 +38,16 @@ class IntMatrix:
 
     Entries are plain Python ints, so there are no overflow semantics.
     Instances are treated as immutable by every function in this module.
-    A result built from an IntMatrix and a RatMatrix is a RatMatrix.
     """
 
     __slots__ = ("rows", "cols", "data")
 
-    @staticmethod
-    def _row(row) -> list[int]:
-        row = list(row)
-        if not all(map(isinstance, row, repeat(int))):
-            bad = next(x for x in row if not isinstance(x, int))
-            raise TypeError(f"integer entry expected, got {bad!r}")
-        return row
-
     def __init__(self, data, cols=None):
-        data = [self._row(row) for row in data]
+        data = [list(row) for row in data]
+        for row in data:
+            if not all(map(isinstance, row, repeat(int))):
+                bad = next(x for x in row if not isinstance(x, int))
+                raise TypeError(f"integer entry expected, got {bad!r}")
         if data:
             cols = len(data[0])
         elif cols is None:
@@ -64,10 +58,6 @@ class IntMatrix:
         self.rows = len(data)
         self.cols = cols
         self.data = data
-
-    def _joined(self, other: "IntMatrix") -> type:
-        """The class of a result built from self and other."""
-        return type(other) if isinstance(other, type(self)) else type(self)
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
@@ -95,15 +85,15 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise SizeMismatch("row counts differ")
-        return self._joined(other)([self.data[i] + other.data[i] for i in range(self.rows)],
-                                   cols=self.cols + other.cols)
+        return IntMatrix([self.data[i] + other.data[i] for i in range(self.rows)],
+                         cols=self.cols + other.cols)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise SizeMismatch("inner dimensions differ")
         ot = other.transpose().data
-        return self._joined(other)([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                                    for row in self.data], cols=other.cols)
+        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
+                          for row in self.data], cols=other.cols)
 
     __matmul__ = mul
 
@@ -118,9 +108,6 @@ class IntMatrix:
     def diagonal(self) -> list[int]:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
 
-    def to_rational(self) -> "RatMatrix":
-        return RatMatrix(self.data, cols=self.cols)
-
     def __eq__(self, other):
         return (type(other) is type(self) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -128,36 +115,6 @@ class IntMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"{type(self).__name__}({self.rows}x{self.cols}: {body})"
-
-
-class RatMatrix(IntMatrix):
-    """Dense matrix over exact rationals (reduced fractions).
-
-    Only the entry coercion differs from IntMatrix.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _row(row) -> list[Fraction]:
-        return [Fraction(x) for x in row]
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith decomposition ``U @ M @ W == S`` with unimodular U, W.
-
-    S is diagonal and its nonzero entries form a divisibility chain
-    d1 | d2 | ... with all di > 0.
-    """
-
-    U: IntMatrix
-    S: IntMatrix
-    W: IntMatrix
-
-    @property
-    def invariant_factors(self) -> list[int]:
-        return [d for d in self.S.diagonal() if d != 0]
 
 
 def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -262,11 +219,13 @@ def _hermite_carrying(A: IntMatrix, T: IntMatrix) -> tuple[IntMatrix, IntMatrix]
             IntMatrix([row[A.cols:] for row in H], cols=T.cols))
 
 
-def smith_normal_form(M: IntMatrix) -> SnfResult:
-    """Smith normal form with both transforms.
+def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with both transforms: ``(U, S, W)`` with U and W
+    unimodular and ``U @ M @ W == S``.
 
-    The diagonal entries of S are the invariant factors of the cokernel
-    of M (ones included, zeros trailing).  Row and column Hermite forms
+    S is diagonal, and its entries are the invariant factors of the
+    cokernel of M (ones included, zeros trailing): the nonzero ones are
+    positive and form a divisibility chain d1 | d2 | ....  Row and column Hermite forms
     alternate until the matrix is diagonal (Kannan and Bachem 1979):
     each round either strictly lowers a leading pivot to a proper
     divisor or leaves its row and column clear for good.  A row Hermite
@@ -299,8 +258,8 @@ def smith_normal_form(M: IntMatrix) -> SnfResult:
                 row[i], row[j] = row[i] + row[j], s * y * row[j] - t * x * row[i]
             S[i][i], S[j][j] = g, a * x
 
-    return SnfResult(U=IntMatrix(U, cols=M.rows), S=IntMatrix(S, cols=M.cols),
-                     W=IntMatrix(W, cols=M.cols))
+    return (IntMatrix(U, cols=M.rows), IntMatrix(S, cols=M.cols),
+            IntMatrix(W, cols=M.cols))
 
 
 def det(M: IntMatrix) -> int:
@@ -359,8 +318,8 @@ def column_lattice_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(basis, rows=M.rows)
 
 
-def solve_rational(A: IntMatrix | RatMatrix, B: IntMatrix | RatMatrix) -> RatMatrix:
-    """Solve ``A @ X == B`` over the rationals.
+def solve_rational(A: IntMatrix, B: IntMatrix) -> list[list[Fraction]]:
+    """Solve ``A @ X == B`` over the rationals; returns the rows of X.
 
     X is read off the reduced row echelon form of ``[A | B]``.  Raises
     ValueError when the solution is not unique (A must have full column
@@ -372,7 +331,7 @@ def solve_rational(A: IntMatrix | RatMatrix, B: IntMatrix | RatMatrix) -> RatMat
         raise ValueError("coefficient matrix is rank deficient")
     if len(pivots) > k:
         raise ValueError("inconsistent system")
-    return RatMatrix([row[k:] for row in rows[:k]], cols=B.cols)
+    return [row[k:] for row in rows[:k]]
 
 
 def invariant_factors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
@@ -405,8 +364,8 @@ def invariant_factors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
         if any(v):
             raise ValueError("columns of sub do not lie in the span of ambient")
         coords.append(coord)
-    snf = smith_normal_form(IntMatrix.from_columns(coords, rows=basis.cols))
-    factors = snf.invariant_factors
+    _, S, _ = smith_normal_form(IntMatrix.from_columns(coords, rows=basis.cols))
+    factors = [d for d in S.diagonal() if d]
     if len(factors) < basis.cols:
         raise IndexNotFinite("sublattice has lower rank than the ambient lattice")
     return [d for d in factors if d > 1]
@@ -421,18 +380,7 @@ def clear_denominators(values) -> list[int]:
     return [int(x * scale) for x in values]
 
 
-def _as_int_rows(M: IntMatrix | RatMatrix) -> list[list[int]]:
-    """Integer rows for ``_echelon``, always a fresh copy it may mutate.
-
-    IntMatrix rows are copied as they are; rational rows are cleared of
-    denominators, which preserves the row space.
-    """
-    if not isinstance(M, RatMatrix):
-        return [row[:] for row in M.data]
-    return [clear_denominators(row) for row in M.data]
-
-
-def rational_rref(M: IntMatrix | RatMatrix) -> tuple[list[list[Fraction]], list[int]]:
+def rational_rref(M: IntMatrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form with unit pivots; returns (rows, pivots).
 
     The echelon rows are reduced from the last pivot up: a row clears
@@ -440,7 +388,7 @@ def rational_rref(M: IntMatrix | RatMatrix) -> tuple[list[list[Fraction]], list[
     cross-multiplication, and is divided by its gcd, so the arithmetic
     stays in the integers until the final division by the pivot.
     """
-    a = _as_int_rows(M)
+    a = [row[:] for row in M.data]
     pivots = _echelon(a, None)
     for r in reversed(range(len(pivots))):
         row = a[r]
@@ -454,15 +402,17 @@ def rational_rref(M: IntMatrix | RatMatrix) -> tuple[list[list[Fraction]], list[
     return [[Fraction(x, s) for x in row] for row, s in zip(a, scales)], pivots
 
 
-def rational_rank(M: IntMatrix | RatMatrix) -> int:
-    return len(_echelon(_as_int_rows(M), None))
+def rational_rank(M: IntMatrix) -> int:
+    return len(_echelon([row[:] for row in M.data], None))
 
 
-def rational_nullspace(M: IntMatrix | RatMatrix) -> RatMatrix:
-    """Basis of the right nullspace over the rationals, as columns.
+def rational_nullspace(M: IntMatrix) -> IntMatrix:
+    """Basis of the right nullspace over the rationals, as integer columns.
 
-    For each free column f the basis vector has entry 1 at f, so
-    ``rank(M) + returned columns == cols(M)``.
+    For each free column f the rational basis vector has entry 1 at f
+    and minus column f of the reduced echelon form at the pivots; the
+    column returned is its primitive integer multiple, positive at f.
+    So ``rank(M) + returned columns == cols(M)``.
     """
     rows, pivots = rational_rref(M)
     k = M.cols
@@ -471,15 +421,15 @@ def rational_nullspace(M: IntMatrix | RatMatrix) -> RatMatrix:
     for f in range(k):
         if f in pivot_set:
             continue
-        vec = [Fraction(0)] * k
-        vec[f] = Fraction(1)
+        vec = [0] * k
+        vec[f] = 1
         for r, c in enumerate(pivots):
             vec[c] = -rows[r][f]
-        basis.append(vec)
-    return RatMatrix.from_columns(basis, rows=k)
+        basis.append(clear_denominators(vec))
+    return IntMatrix.from_columns(basis, rows=k)
 
 
-def same_column_space(A: RatMatrix, B: RatMatrix) -> bool:
+def same_column_space(A: IntMatrix, B: IntMatrix) -> bool:
     """Exact subspace equality via double-containment rank checks."""
     if A.rows != B.rows:
         raise SizeMismatch("ambient dimensions differ")
@@ -490,7 +440,7 @@ def same_column_space(A: RatMatrix, B: RatMatrix) -> bool:
     return rational_rank(A.hstack(B)) == ra
 
 
-def contains_column_space(A: RatMatrix, B: RatMatrix) -> bool:
+def contains_column_space(A: IntMatrix, B: IntMatrix) -> bool:
     """True when the column space of A contains the column space of B."""
     if A.rows != B.rows:
         raise SizeMismatch("ambient dimensions differ")

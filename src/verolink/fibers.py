@@ -11,7 +11,6 @@ and serves as its independent oracle.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -256,25 +255,16 @@ def off_diagonal_parities(exps: tuple[int, ...], n: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class FiberClassKey:
-    """Complete invariant of a fiber point modulo the principal-minor lattice.
+def class_key(u: Monomial) -> tuple[tuple[int, ...], int]:
+    """Complete invariant of a fiber point modulo the principal-minor
+    lattice: the pair (degree, parities).
 
-    ``parities`` is the bit mask of the exponents of the off-diagonal
-    pairs of [n-1] modulo two, bit k for the k-th pair in lexicographic
-    order (see ``off_diagonal_parities``); together with the
-    multidegree it separates equivalence classes because every
+    ``parities`` is ``off_diagonal_parities`` of the point; together
+    with the multidegree it separates equivalence classes because every
     principal-minor move changes each off-diagonal entry by an even
     amount.
     """
-
-    degree: tuple[int, ...]
-    parities: int
-
-
-def class_key(u: Monomial) -> FiberClassKey:
-    return FiberClassKey(degree=u.degree(),
-                         parities=off_diagonal_parities(u.exps, u.n))
+    return u.degree(), off_diagonal_parities(u.exps, u.n)
 
 
 def class_count(n: int, b) -> int:
@@ -416,7 +406,7 @@ def fiber_classes(n: int, b) -> list[list[Monomial]]:
 
 
 __all__ = [
-    "DEFAULT_SIZE_CAP", "FiberClassKey", "canonical_representative",
+    "DEFAULT_SIZE_CAP", "canonical_representative",
     "class_count", "class_key", "connectivity_classes",
     "degrees_up_to", "enumerate_fiber", "fiber_classes", "hilbert_table",
     "is_saturated_degree", "minimal_saturated_fibers",

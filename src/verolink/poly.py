@@ -24,7 +24,7 @@ from itertools import product
 
 from .errors import (DegreeMismatch, Inhomogeneous, SizeMismatch,
                      ZeroPolynomial)
-from .fibers import FiberClassKey, class_key, off_diagonal_parities
+from .fibers import class_key, off_diagonal_parities
 from .veronese import Monomial, pair, pair_count, variable_multisets
 
 
@@ -271,6 +271,12 @@ def twisting_from_character(eps: SignCharacter) -> Twisting:
     return Twisting(eps.n, flips)
 
 
+def character_sign(mask: int, parities: int) -> int:
+    """The value, +1 or -1, of the character with this ``mask`` on a
+    parity mask: -1 when ``mask & parities`` has an odd number of bits."""
+    return -1 if (mask & parities).bit_count() & 1 else 1
+
+
 def character_value(eps: SignCharacter, u: Monomial, u0: Monomial) -> int:
     """Value of eps on the difference u - u0 (two points of one fiber).
 
@@ -284,25 +290,26 @@ def character_value(eps: SignCharacter, u: Monomial, u0: Monomial) -> int:
         raise DegreeMismatch("monomials lie in different fibers")
     diff = (off_diagonal_parities(u.exps, eps.n)
             ^ off_diagonal_parities(u0.exps, eps.n))
-    return -1 if (eps.mask & diff).bit_count() & 1 else 1
+    return character_sign(eps.mask, diff)
 
 
 # -- normal forms modulo the principal-minor ideal ---------------------
 
-def _class_sums(p: SparsePoly) -> dict[FiberClassKey, Fraction]:
-    """Coefficient sums of p per (degree, class) key, zero sums dropped.
+def _class_sums(p: SparsePoly) -> dict[tuple[tuple[int, ...], int], Fraction]:
+    """Coefficient sums of p per (degree, parities) class key, zero sums
+    dropped.
 
     One pass over the terms, one ``class_key`` per term; the key carries
     the degree, so p need not be homogeneous.
     """
-    sums: dict[FiberClassKey, Fraction] = {}
+    sums: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for m, c in p.terms.items():
         key = class_key(m)
         sums[key] = sums.get(key, 0) + c
     return {key: s for key, s in sums.items() if s}
 
 
-def normal_form(p: SparsePoly) -> dict[FiberClassKey, Fraction]:
+def normal_form(p: SparsePoly) -> dict[tuple[tuple[int, ...], int], Fraction]:
     """Normal form of a homogeneous polynomial: its class sums.
 
     Each (degree, class) graded piece of the quotient by the
@@ -339,9 +346,9 @@ def in_twisted_veronese(p: SparsePoly, eps: SignCharacter) -> bool:
     if p.n != eps.n:
         raise SizeMismatch("character over a different variable set")
     totals: dict[tuple[int, ...], Fraction] = {}
-    for key, s in _class_sums(p).items():
-        sign = -1 if (eps.mask & key.parities).bit_count() & 1 else 1
-        totals[key.degree] = totals.get(key.degree, 0) + sign * s
+    for (degree, parities), s in _class_sums(p).items():
+        totals[degree] = (totals.get(degree, 0)
+                          + character_sign(eps.mask, parities) * s)
     return not any(totals.values())
 
 
@@ -438,7 +445,7 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
             started = True
     flush()
 
-    max_index = max((j for _, _, vs in raw_terms for _, j in vs), default=2)
+    max_index = max((j for _, _, vs in raw_terms for _, j in vs), default=0)
     if n is None:
         n = max(max_index, 2)
     elif max_index > n:
@@ -457,7 +464,8 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
 __all__ = [
     "SignCharacter", "SparsePoly", "Twisting",
     "all_characters", "character_of_twisting", "character_pairs",
-    "character_value", "degree_split", "in_principal_minor_ideal",
-    "in_twisted_veronese", "multidegree", "normal_form", "parse_poly",
-    "render_poly", "twist", "twisting_from_character",
+    "character_sign", "character_value", "degree_split",
+    "in_principal_minor_ideal", "in_twisted_veronese", "multidegree",
+    "normal_form", "parse_poly", "render_poly", "twist",
+    "twisting_from_character",
 ]

@@ -26,11 +26,12 @@ from .errors import IndexOutOfRange, SizeMismatch
 from .exactlin import (IntMatrix, clear_denominators, invariant_factors,
                        kernel_lattice, rational_nullspace, rational_rank)
 from .fibers import (_check_level, _fibers_of_sum, degrees_up_to,
-                     enumerate_fiber, off_diagonal_parities)
+                     enumerate_fiber, minimal_saturated_fibers,
+                     off_diagonal_parities)
 from .ideals import (generator_lattice, higher_veronese_gens,
                      principal_minor_gens, veronese_minor_gens)
 from .link import link_generators
-from .poly import (SignCharacter, SparsePoly, all_characters,
+from .poly import (SignCharacter, SparsePoly, all_characters, character_sign,
                    in_principal_minor_ideal, multidegree)
 from .veronese import Monomial, pair_count, veronese_matrix
 
@@ -110,7 +111,7 @@ def _character_rows(n: int, fiber: list[tuple[int, ...]],
     base = off_diagonal_parities(max(fiber), n)
     diffs = [off_diagonal_parities(exps, n) ^ base for exps in fiber]
     varying = reduce(or_, diffs)
-    rows = [[-1 if (d & minus).bit_count() & 1 else 1 for d in diffs]
+    rows = [[character_sign(minus, d) for d in diffs]
             for minus in sorted({m & varying for m in masks})]
     return IntMatrix(rows, cols=len(fiber))
 
@@ -128,10 +129,8 @@ def subintersection_degree_piece(n: int, omitted: SignCharacter, b
     b = tuple(b)
     fiber = enumerate_fiber(n, b)
     masks = [eps.mask for eps in all_characters(n) if eps != omitted]
-    kernel = rational_nullspace(_character_rows(n, [m.exps for m in fiber],
-                                                masks))
-    vectors = IntMatrix.from_columns(
-        [clear_denominators(c) for c in kernel.columns()], rows=len(fiber))
+    vectors = rational_nullspace(_character_rows(n, [m.exps for m in fiber],
+                                                 masks))
     return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
 
 
@@ -216,7 +215,7 @@ def _walsh_rank(diffs: set[int], restricted: set[int], varying: int) -> int:
         return len(diffs) - (len(diffs) == full)
     cols = sorted(diffs)
     return rational_rank(IntMatrix(
-        [[-1 if (d & m).bit_count() & 1 else 1 for d in cols]
+        [[character_sign(m, d) for d in cols]
          for m in sorted(restricted)], cols=len(cols)))
 
 
@@ -288,9 +287,9 @@ def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
     dt = len(fiber) - _walsh_rank(set(diff), restricted, varying)
 
     equal = (di == dt
-             and not any((m & e).bit_count() & 1
-                         for e in edge_diffs for m in restricted)
-             and not any(sum(-c if (d & m).bit_count() & 1 else c
+             and all(character_sign(m, e) == 1
+                     for e in edge_diffs for m in restricted)
+             and not any(sum(character_sign(m, d) * c
                              for d, c in by_diff.items())
                          for by_diff in class_sums for m in restricted))
     return DegreeRecord(degree=b, fiber_size=len(fiber), ideal_dim=di,
@@ -324,9 +323,17 @@ def verify_link(n: int, omitted: SignCharacter, total_degree_bound: int
 
     For every degree with coordinate sum up to the (even) bound, the
     span of the link generators must equal the kernel cut out by the
-    non-omitted characters.  A negative bound raises ValueError.
+    non-omitted characters.  The extra generators have coordinate sum
+    n(n-2) + n mod 2 and add no column below it, so they are built only
+    when the bound reaches that sum.  A negative bound raises ValueError.
     """
-    gens = link_generators(n, omitted).all_gens()
+    first_extra = sum(minimal_saturated_fibers(n)[0])  # refuses n < 3
+    if omitted.n != n:
+        raise SizeMismatch("character over a different variable set")
+    if total_degree_bound < first_extra:
+        gens = principal_minor_gens(n)
+    else:
+        gens = link_generators(n, omitted).all_gens()
     masks = [m for m in range(1 << pair_count(n - 1)) if m != omitted.mask]
     records = _check_degrees(n, gens, masks, total_degree_bound)
     return VerificationReport(n=n, degree_bound=total_degree_bound, kind="link",

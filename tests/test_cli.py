@@ -104,6 +104,18 @@ def test_member_exit_codes(capsys, monkeypatch):
     assert code == 0 and out.strip() == "yes"
 
 
+@pytest.mark.parametrize("text, code", [("3", 1), ("x11", 1), ("x12", 2)])
+def test_only_the_variables_present_are_checked_against_n(capsys, monkeypatch,
+                                                          text, code):
+    got, out, err = run(capsys, ["member", "--ideal", "jn", "-n", "1"],
+                        stdin=text, monkeypatch=monkeypatch)
+    assert got == code
+    if code == 1:
+        assert out == "no\n" and err == ""
+    else:
+        assert out == "" and "variable index 2 exceeds n=1" in err
+
+
 def test_colon_membership_cli(capsys, monkeypatch):
     code, out, _ = run(capsys, ["colon", "-n", "3"],
                        stdin="x11*x23 + x12*x13", monkeypatch=monkeypatch)
@@ -152,6 +164,25 @@ def test_verify_decomp_cli(capsys):
     code, out, _ = run(capsys, ["verify-decomp", "-n", "3", "--bound", "6"])
     assert code == 0
     assert "verdict=pass" in out
+
+
+def test_verify_link_below_its_extra_generators_is_verify_decomp(capsys):
+    # At n = 8 the extra generator has coordinate sum 48, and its class
+    # search runs past the size cap; below that sum it adds no column.
+    code, out, _ = run(capsys, ["verify-link", "-n", "8", "--bound", "2"])
+    decomp_code, decomp, _ = run(capsys, ["verify-decomp", "-n", "8",
+                                          "--bound", "2"])
+    assert code == decomp_code == 0
+    assert out == decomp
+    assert out.splitlines()[-1] == "verdict=pass checked=37"
+
+
+@pytest.mark.parametrize("argv", [["-n", "0"], ["-n", "-1"], ["-n", "1"],
+                                  ["-n", "2"], ["-n", "0", "--omit", "12:-"]])
+def test_verify_link_below_three_variables_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, ["verify-link", "--bound", "2"] + argv)
+    assert code == 2 and out == ""
+    assert err == "error: need n >= 3\n"
 
 
 def test_laurent_check_cli(capsys):

@@ -3,8 +3,12 @@ forms against sympy.
 
 Every rank, nullspace, reduced echelon form and rational solve in
 ``exactlin`` runs on the one Euclidean echelon pass, ``_echelon``;
-sympy's exact rational matrices are the independent reference.  Hermite
-and Smith forms are checked against ``sympy.matrices.normalforms``.
+sympy's exact rational matrices are the independent reference.  A
+Fraction matrix enters ``exactlin`` as the IntMatrix of its rows cleared
+of denominators, which has the same row space, and so the same rank,
+reduced echelon form and nullspace, and sympy gets the Fraction matrix
+itself.  Hermite and Smith forms are checked
+against ``sympy.matrices.normalforms``.
 """
 
 import random
@@ -17,17 +21,23 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa: E402
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
-from test_exactlin import check_snf  # noqa: E402
-from verolink.exactlin import (IntMatrix, RatMatrix, hermite_normal_form,  # noqa: E402
-                               rational_nullspace, rational_rank,
-                               rational_rref, smith_normal_form,
-                               solve_rational)
+from test_exactlin import check_snf, nonzero_diagonal  # noqa: E402
+from verolink.exactlin import (IntMatrix, clear_denominators,  # noqa: E402
+                               hermite_normal_form, rational_nullspace,
+                               rational_rank, rational_rref,
+                               smith_normal_form, solve_rational)
 
 SEEDS = range(30)
 
 
-def random_matrix(rng, rows, cols, fractional, rank=None):
-    """Random IntMatrix, or RatMatrix when fractional; rank-capped if asked.
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def random_rows(rng, rows, cols, fractional, rank=None):
+    """Random rows of ints, or of Fractions when fractional; rank-capped
+    if asked.
 
     A rank cap r builds the matrix as a (rows x r)(r x cols) product, so
     most such matrices are rank deficient.
@@ -39,25 +49,37 @@ def random_matrix(rng, rows, cols, fractional, rank=None):
         return Fraction(num, rng.randint(1, 4)) if fractional else num
 
     def block(r, c):
-        data = [[entry() for _ in range(c)] for _ in range(r)]
-        return RatMatrix(data, cols=c) if fractional else IntMatrix(data, cols=c)
+        return [[entry() for _ in range(c)] for _ in range(r)]
 
     if rank is None:
         return block(rows, cols)
-    return block(rows, rank).mul(block(rank, cols))
+    return matmul(block(rows, rank), block(rank, cols))
 
 
-def shaped_matrix(seed, fractional):
+def cleared(rows):
+    """The IntMatrix of the rows, each cleared of denominators."""
+    return IntMatrix([clear_denominators(row) for row in rows])
+
+
+def cleared_system(A, B):
+    """``[A | B]`` cleared row by row and split again: the same solutions."""
+    k = len(A[0])
+    rows = [clear_denominators(a + b) for a, b in zip(A, B)]
+    return (IntMatrix([row[:k] for row in rows], cols=k),
+            IntMatrix([row[k:] for row in rows], cols=len(B[0])))
+
+
+def shaped_rows(seed, fractional):
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 6), rng.randint(1, 7)
     rank = rng.choice([None, rng.randint(1, min(rows, cols))])
-    return random_matrix(rng, rows, cols, fractional, rank)
+    return random_rows(rng, rows, cols, fractional, rank)
 
 
-def to_sympy(M):
-    return sympy.Matrix(M.rows, M.cols,
+def to_sympy(rows):
+    return sympy.Matrix(len(rows), len(rows[0]),
                         [sympy.Rational(x.numerator, x.denominator)
-                         for row in M.data for x in row])
+                         for row in rows for x in row])
 
 
 def to_fractions(S):
@@ -68,9 +90,9 @@ def to_fractions(S):
 @pytest.mark.parametrize("fractional", [False, True])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rref_matches_sympy(seed, fractional):
-    M = shaped_matrix(seed, fractional)
-    rows, pivots = rational_rref(M)
-    expected, expected_pivots = to_sympy(M).rref()
+    data = shaped_rows(seed, fractional)
+    rows, pivots = rational_rref(cleared(data))
+    expected, expected_pivots = to_sympy(data).rref()
     assert pivots == list(expected_pivots)
     assert rows == to_fractions(expected)
 
@@ -78,29 +100,31 @@ def test_rref_matches_sympy(seed, fractional):
 @pytest.mark.parametrize("fractional", [False, True])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rank_matches_sympy(seed, fractional):
-    M = shaped_matrix(seed, fractional)
-    assert rational_rank(M) == to_sympy(M).rank()
+    data = shaped_rows(seed, fractional)
+    assert rational_rank(cleared(data)) == to_sympy(data).rank()
 
 
 @pytest.mark.parametrize("fractional", [False, True])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_nullspace_is_a_kernel_basis(seed, fractional):
-    M = shaped_matrix(seed, fractional)
+    data = shaped_rows(seed, fractional)
+    M = cleared(data)
     N = rational_nullspace(M)
-    rank = to_sympy(M).rank()
+    rank = to_sympy(data).rank()
     assert N.rows == M.cols
     assert N.cols == M.cols - rank
     if N.cols:
-        assert (to_sympy(M) * to_sympy(N)).is_zero_matrix
-        assert to_sympy(N).rank() == N.cols
+        assert (to_sympy(data) * to_sympy(N.data)).is_zero_matrix
+        assert to_sympy(N.data).rank() == N.cols
 
 
 def check_rank_rref_nullspace(M):
     """Rank, reduced echelon form and nullspace of M all equal sympy's.
 
-    sympy's nullspace has the same convention: a 1 at each free column
-    and minus that column of the reduced form at the pivots."""
-    S = to_sympy(M)
+    sympy's nullspace vectors have a 1 at each free column and minus
+    that column of the reduced form at the pivots; ours are those
+    vectors cleared of denominators."""
+    S = to_sympy(M.data)
     rows, pivots = rational_rref(M)
     expected, expected_pivots = S.rref()
     assert pivots == list(expected_pivots)
@@ -108,7 +132,8 @@ def check_rank_rref_nullspace(M):
     assert rational_rank(M) == len(expected_pivots)
     N = rational_nullspace(M)
     assert [list(c) for c in N.columns()] == [
-        [Fraction(int(x.p), int(x.q)) for x in v] for v in S.nullspace()]
+        clear_denominators([Fraction(int(x.p), int(x.q)) for x in v])
+        for v in S.nullspace()]
 
 
 def walsh_sign(s, g):
@@ -171,9 +196,13 @@ def test_large_entries_and_vandermonde_rows(seed):
 def full_column_rank(rng, fractional):
     while True:
         k = rng.randint(1, 5)
-        A = random_matrix(rng, rng.randint(k, 7), k, fractional)
+        A = random_rows(rng, rng.randint(k, 7), k, fractional)
         if to_sympy(A).rank() == k:
             return A
+
+
+def hstack(A, B):
+    return [a + b for a, b in zip(A, B)]
 
 
 @pytest.mark.parametrize("fractional", [False, True])
@@ -181,12 +210,12 @@ def full_column_rank(rng, fractional):
 def test_solve_matches_sympy(seed, fractional):
     rng = random.Random(1000 + seed)
     A = full_column_rank(rng, fractional)
-    X = random_matrix(rng, A.cols, rng.randint(1, 3), fractional)
-    B = A.mul(X)
-    solved = solve_rational(A, B)
+    X = random_rows(rng, len(A[0]), rng.randint(1, 3), fractional)
+    B = matmul(A, X)
+    solved = solve_rational(*cleared_system(A, B))
     expected = to_sympy(A).solve(to_sympy(B))
-    assert to_fractions(to_sympy(solved)) == to_fractions(expected)
-    assert solved == RatMatrix(X.data, cols=X.cols)
+    assert solved == to_fractions(expected)
+    assert solved == X
 
 
 @pytest.mark.parametrize("fractional", [False, True])
@@ -194,16 +223,17 @@ def test_solve_matches_sympy(seed, fractional):
 def test_solve_refuses_a_rank_deficient_system(seed, fractional):
     rng = random.Random(2000 + seed)
     k = rng.randint(2, 5)
-    A = random_matrix(rng, rng.randint(k + 1, 7), k, fractional,
-                      rank=rng.randint(1, k - 1))
+    A = random_rows(rng, rng.randint(k + 1, 7), k, fractional,
+                    rank=rng.randint(1, k - 1))
     # A wide B makes the system inconsistent too, with more pivots than A
     # has columns; the rank deficiency is still the error reported.
-    B = random_matrix(rng, A.rows, k + 1, fractional)
-    assert to_sympy(A.hstack(B)).rank() > k
+    B = random_rows(rng, len(A), k + 1, fractional)
+    assert to_sympy(hstack(A, B)).rank() > k
     with pytest.raises(ValueError, match="rank deficient"):
-        solve_rational(A, B)
+        solve_rational(*cleared_system(A, B))
     with pytest.raises(ValueError, match="rank deficient"):
-        solve_rational(A, A.mul(random_matrix(rng, k, 1, fractional)))
+        solve_rational(*cleared_system(
+            A, matmul(A, random_rows(rng, k, 1, fractional))))
 
 
 @pytest.mark.parametrize("fractional", [False, True])
@@ -212,11 +242,11 @@ def test_solve_refuses_an_inconsistent_system(seed, fractional):
     rng = random.Random(3000 + seed)
     while True:
         A = full_column_rank(rng, fractional)
-        B = random_matrix(rng, A.rows, 1, fractional)
-        if to_sympy(A.hstack(B)).rank() > A.cols:
+        B = random_rows(rng, len(A), 1, fractional)
+        if to_sympy(hstack(A, B)).rank() > len(A[0]):
             break
     with pytest.raises(ValueError, match="inconsistent system"):
-        solve_rational(A, B)
+        solve_rational(*cleared_system(A, B))
 
 
 def lattice_matrix(seed):
@@ -224,7 +254,7 @@ def lattice_matrix(seed):
     rng = random.Random(4000 + seed)
     rows, cols = rng.randint(1, 5), rng.randint(1, 5)
     rank = rng.choice([None, rng.randint(1, min(rows, cols))])
-    return random_matrix(rng, rows, cols, False, rank)
+    return IntMatrix(random_rows(rng, rows, cols, False, rank))
 
 
 def reversed_rows(rows):
@@ -235,7 +265,7 @@ def reversed_rows(rows):
 @pytest.mark.parametrize("seed", range(50))
 def test_smith_factors_match_sympy(seed):
     M = lattice_matrix(seed)
-    ours = smith_normal_form(M).invariant_factors
+    ours = nonzero_diagonal(smith_normal_form(M)[1])
     theirs = invariant_factors(sympy.Matrix(M.data), domain=sympy.ZZ)
     assert ours == [abs(int(x)) for x in theirs if x != 0]
 
@@ -270,7 +300,7 @@ def wide_lattice_matrix(seed):
 @pytest.mark.parametrize("seed", range(60))
 def test_smith_form_of_wide_matrices(seed):
     M = wide_lattice_matrix(seed)
-    ours = check_snf(M).invariant_factors
+    ours = nonzero_diagonal(check_snf(M)[1])
     theirs = invariant_factors(sympy.Matrix(M.data), domain=sympy.ZZ)
     assert ours == [abs(int(x)) for x in theirs if x != 0]
 

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from verolink.errors import SizeCapExceeded
+from verolink.errors import IndexOutOfRange, SizeCapExceeded, SizeMismatch
 from verolink.exactlin import contains_column_space
+from verolink.fibers import minimal_saturated_fibers
 from verolink.ideals import principal_minor_gens
 from verolink.link import link_generators, saturated_fiber_poly
 from verolink.poly import (SignCharacter, SparsePoly, all_characters,
@@ -99,6 +100,37 @@ def test_equal_dimensions_with_another_span_fail(monkeypatch):
     failed = [r for r in report.records if not r.equal]
     assert failed and not report.verdict
     assert all(r.ideal_dim == r.target_dim for r in failed)
+
+
+@pytest.mark.parametrize("n, bound", [(3, 2), (4, 6), (5, 8)])
+def test_extra_generators_are_built_only_from_their_sum(monkeypatch, n, bound):
+    # They have coordinate sum n(n-2) + n mod 2, so below it a check
+    # without them has every record of the check with them.
+    import verolink.verify as verify
+    calls = []
+    real = verify.link_generators
+    monkeypatch.setattr(verify, "link_generators",
+                        lambda n, omitted: calls.append(n) or real(n, omitted))
+    first = sum(minimal_saturated_fibers(n)[0])
+    assert first == n * (n - 2) + n % 2
+    omitted = all_characters(n)[-1]
+    report = verify_link(n, omitted, bound)
+    assert bound < first and not calls
+    masks = [m for m in range(1 << len(omitted.signs)) if m != omitted.mask]
+    assert report.records == verify._check_degrees(
+        n, real(n, omitted).all_gens(), masks, bound)
+    if n < 5:
+        verify_link(n, omitted, first)
+        assert calls == [n]
+
+
+def test_verify_link_refuses_a_small_n_or_a_foreign_character():
+    with pytest.raises(IndexOutOfRange, match="n >= 3"):
+        verify_link(2, SignCharacter.trivial(2), 2)
+    # Also below the sum of the extra generators, which are not built there.
+    for bound in (2, 8):
+        with pytest.raises(SizeMismatch):
+            verify_link(4, SignCharacter.trivial(3), bound)
 
 
 def test_dimension_gap_at_most_one():
