@@ -291,6 +291,36 @@ def test_twist_infers_n_or_takes_one_wide_enough(capsys, monkeypatch, argv,
     assert code == 0 and out == twisted + "\n"
 
 
+TWIST_TEXT = "x11*x23 + x12*x13 - 2*x14*x34 + x12*x44 - 1/3*x11*x24"
+
+
+def _twist_json(*coeffs):
+    exps = ['{"11": 1, "23": 1}', '{"11": 1, "24": 1}', '{"12": 1, "13": 1}',
+            '{"12": 1, "44": 1}', '{"14": 1, "34": 1}']
+    return "[" + ", ".join(f'{{"coeff": "{c}", "exp": {e}}}'
+                           for c, e in zip(coeffs, exps)) + "]"
+
+
+# Diagonal flips, several flips, an explicit "+" and an index above the
+# polynomial's own; without -n the last one widens the ring to n = 5.
+@pytest.mark.parametrize("signs, text, as_json", [
+    ("11:-", "-x11*x23 + 1/3*x11*x24 + x12*x13 + x12*x44 - 2*x14*x34",
+     _twist_json("-1", "1/3", "1", "1", "-2")),
+    ("12:-,34:-", "x11*x23 - 1/3*x11*x24 - x12*x13 - x12*x44 + 2*x14*x34",
+     _twist_json("1", "-1/3", "-1", "-1", "2")),
+    ("44:-,14:+", "x11*x23 - 1/3*x11*x24 + x12*x13 - x12*x44 - 2*x14*x34",
+     _twist_json("1", "-1/3", "1", "-1", "-2")),
+    ("55:-", "x11*x23 - 1/3*x11*x24 + x12*x13 + x12*x44 - 2*x14*x34",
+     _twist_json("1", "-1/3", "1", "1", "-2"))])
+def test_twist_output_is_pinned(capsys, monkeypatch, signs, text, as_json):
+    code, out, err = run(capsys, ["twist", "--signs", signs],
+                         stdin=TWIST_TEXT, monkeypatch=monkeypatch)
+    assert (code, out, err) == (0, text + "\n", "")
+    code, out, err = run(capsys, ["twist", "--json", "-n", "5", "--signs", signs],
+                         stdin=TWIST_TEXT, monkeypatch=monkeypatch)
+    assert (code, out, err) == (0, as_json + "\n", "")
+
+
 @pytest.mark.parametrize("k", ["0", "8"])
 def test_laurent_check_outside_its_range_is_a_usage_error(capsys, k):
     code, out, err = run(capsys, ["laurent-check", "-k", k])
@@ -386,6 +416,10 @@ RECORD_STREAM_DIGESTS = {
         "e6b69ef7c561872bd2e44500ffd48859fe9ae33326c1365fa64d1a65b1709d3d",
     "verify-link --json -n 3 --bound 8 --omit 12:-":
         "60aa8aa9b087ab51948fe9018e13fbffb20d4a3912b7b99037e67e70fb3a5990",
+    "verify-link --json -n 4 --bound 8 --omit 13:-":
+        "68fa17f13505174eb74806c6d89b58f9edd3bb3633ac9f9a2eb08148b2d12945",
+    "verify-link --json -n 5 --bound 6 --omit 12:-,34:-":
+        "ba8ad6db34e59e5589ca113da857c86e3e633f08296a640c703c7a2a5ba67265",
     "verify-decomp -n 5 --bound 6":
         "32e47c4fd33439c24f8afecb1525a319a507fb640061a2548259e0c9058cdbe0",
     "verify-link -n 4 --bound 8 --omit 13:-":
