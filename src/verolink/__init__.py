@@ -12,14 +12,12 @@ from .fibers import (class_count, class_key, connectivity_classes,
                      minimal_saturated_fibers, principal_moves)
 from .ideals import (higher_veronese_gens, principal_minor_gens,
                      veronese_minor_gens)
-from .link import (LinkGenerators, check_saturation_identity, check_syzygy,
-                   link_generators, saturated_fiber_poly, saturation_exponent,
-                   zonotope_poly)
-from .poly import (SignCharacter, SparsePoly, Twisting, all_characters,
-                   character_of_twisting, character_value,
-                   in_principal_minor_ideal, in_twisted_veronese, multidegree,
-                   normal_form, parse_poly, render_poly, twist,
-                   twisting_from_character)
+from .link import (check_saturation_identity, check_syzygy, link_generators,
+                   saturated_fiber_poly, saturation_exponent, zonotope_poly)
+from .poly import (SparsePoly, all_characters, character_of_twisting,
+                   character_spec, character_value, in_principal_minor_ideal,
+                   in_twisted_veronese, multidegree, normal_form, parse_poly,
+                   render_poly, twist, twisting_from_character)
 from .veronese import (Monomial, minor_vector, pair_count,
                        principal_minor_basis, veronese_matrix,
                        veronese_lattice_basis)

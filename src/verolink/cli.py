@@ -19,11 +19,11 @@ from .errors import (IndexOutOfRange, SizeCapExceeded, SizeMismatch,
                      VerolinkError)
 from .fibers import enumerate_fiber, fiber_classes, hilbert_table
 from .link import saturated_fiber_poly, zonotope_poly
-from .poly import (SignCharacter, SparsePoly, Twisting,
-                   in_principal_minor_ideal, in_twisted_veronese, parse_poly,
-                   render_poly, twist)
-from .veronese import (Monomial, pair, principal_minor_basis, variable_multisets,
-                       veronese_lattice_basis, veronese_matrix)
+from .poly import (SparsePoly, character_pairs, in_principal_minor_ideal,
+                   in_twisted_veronese, parse_poly, render_poly, twist)
+from .veronese import (Monomial, column_position, pair, principal_minor_basis,
+                       variable_multisets, veronese_lattice_basis,
+                       veronese_matrix)
 from .verify import (colon_membership, group_algebra_subintersection,
                      higher_torsion, verify_decomposition, verify_link)
 
@@ -60,15 +60,16 @@ def poly_from_json(data, n: int | None = None) -> SparsePoly:
 # -- spec parsing -------------------------------------------------------
 
 def parse_sign_spec(spec: str) -> dict[tuple[int, int], int]:
-    """Parse comma-separated signed pairs, e.g. ``12:-,13:+``; a pair
-    given twice, in either order, is an error."""
+    """Parse comma-separated signed pairs, e.g. ``12:-,13:+``; an empty
+    item, or a pair given twice in either order, is an error.  The empty
+    spec assigns no sign."""
     out = {}
     if not spec:
         return out
     for item in spec.split(","):
         item = item.strip()
         if not item:
-            continue
+            raise ValueError(f"empty sign entry in {spec!r}")
         key, _, sign = item.partition(":")
         if not (len(key) == 2 and key.isascii() and key.isdigit()
                 and "0" not in key):
@@ -82,10 +83,16 @@ def parse_sign_spec(spec: str) -> dict[tuple[int, int], int]:
     return out
 
 
-def parse_character(spec: str | None, n: int) -> SignCharacter:
-    if not spec:
-        return SignCharacter.trivial(n)
-    return SignCharacter.from_pairs(n, parse_sign_spec(spec))
+def parse_character(spec: str | None, n: int) -> int:
+    """The mask of a sign character given by its minus pairs; unnamed
+    pairs, and every pair of the empty spec, get a plus."""
+    index = {p: k for k, p in enumerate(character_pairs(n))}
+    mask = 0
+    for p, s in parse_sign_spec(spec or "").items():
+        if p not in index:
+            raise SizeMismatch(f"pair {p} is not an off-diagonal pair of [n-1]")
+        mask |= (s < 0) << index[p]
+    return mask
 
 
 def parse_degree(text: str) -> tuple[int, ...]:
@@ -187,7 +194,8 @@ def cmd_twist(args) -> int:
     p = parse_poly(text, args.n)
     if top > p.n:
         p = parse_poly(text, top)
-    out = twist(p, Twisting(p.n, signs))
+    pos = column_position(2, p.n)
+    out = twist(p, sum(1 << pos[q] for q, s in signs.items() if s < 0))
     _emit(args, poly_to_json(out), [render_poly(out)])
     return 0
 
@@ -195,6 +203,9 @@ def cmd_twist(args) -> int:
 def cmd_member(args) -> int:
     p = parse_poly(sys.stdin.read(), args.n)
     if args.ideal == "jn":
+        if args.eps is not None:
+            raise ValueError("--eps names a twisted Veronese component; "
+                             "it needs --ideal veronese")
         verdict = in_principal_minor_ideal(p)
     else:
         eps = parse_character(args.eps, args.n)

@@ -248,7 +248,7 @@ def _class_maxima(n: int, b: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
 def off_diagonal_parities(exps: tuple[int, ...], n: int) -> int:
     """Exponents of the pairs {i < j <= n-1} in dense weight-2 ``exps``
     modulo two, as a bit mask: bit k is the k-th pair in lexicographic
-    order, the order of ``SignCharacter.signs``."""
+    order, the order of the bits of a sign character (``character_pairs``)."""
     mask = 0
     for p in _parity_positions(n):
         mask = mask << 1 | exps[p] & 1

@@ -10,13 +10,10 @@ builds those polynomials and checks the identities relating them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import IndexOutOfRange, NotOdd, SizeMismatch
+from .errors import IndexOutOfRange, NotOdd
 from .fibers import _class_maxima, minimal_saturated_fibers
 from .ideals import principal_minor_gens
-from .poly import (SignCharacter, SparsePoly, normal_form, twist,
-                   twisting_from_character)
+from .poly import SparsePoly, normal_form, twist, twisting_from_character
 from .veronese import Monomial, pair_count
 
 
@@ -115,45 +112,23 @@ def check_syzygy(n: int, i: int, j: int, k: int) -> bool:
     return normal_form(lhs) == normal_form(rhs)
 
 
-@dataclass(frozen=True)
-class LinkGenerators:
-    """Generators of the intersection of all components but one.
-
-    ``binomial_part`` is the principal-minor complete intersection;
-    ``extra`` holds the twisted fiber polynomials (n of them for odd n,
-    one for even n).  ``omitted`` names the dropped component; the
-    trivial character corresponds to the untwisted Veronese ideal.
-    """
-
-    n: int
-    omitted: SignCharacter
-    binomial_part: tuple[SparsePoly, ...]
-    extra: tuple[SparsePoly, ...]
-
-    def all_gens(self) -> list[SparsePoly]:
-        return list(self.binomial_part) + list(self.extra)
-
-
-def link_generators(n: int, omitted: SignCharacter) -> LinkGenerators:
-    """Generators of the subintersection that omits one component.
-
-    The extra generators are the fiber polynomials twisted by any
+def link_generators(n: int, omitted: int) -> list[SparsePoly]:
+    """Generators of the intersection of all components but the one of
+    the ``omitted`` character, where 0, the trivial character, names the
+    untwisted Veronese ideal: the principal minors, then the fiber
+    polynomials (n of them for odd n, one for even n) twisted by an
     automorphism realizing the omitted character.
     """
     if n < 3:
         raise IndexOutOfRange("need n >= 3")
-    if omitted.n != n:
-        raise SizeMismatch("character over a different variable set")
-    phi = twisting_from_character(omitted)
+    flips = twisting_from_character(n, omitted)
     indices = range(1, n + 1) if n % 2 else (1,)
-    extra = tuple(twist(saturated_fiber_poly(n, i), phi) for i in indices)
-    return LinkGenerators(n=n, omitted=omitted,
-                          binomial_part=tuple(principal_minor_gens(n)),
-                          extra=extra)
+    return principal_minor_gens(n) + [twist(saturated_fiber_poly(n, i), flips)
+                                      for i in indices]
 
 
 __all__ = [
-    "LinkGenerators", "check_saturation_identity", "check_syzygy",
+    "check_saturation_identity", "check_syzygy",
     "link_generators", "saturated_fiber_poly", "saturation_exponent",
     "zonotope_poly",
 ]

@@ -17,15 +17,13 @@ whitespace is insignificant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
 
 from .errors import (DegreeMismatch, Inhomogeneous, SizeMismatch,
                      ZeroPolynomial)
 from .fibers import class_key, off_diagonal_parities
-from .veronese import Monomial, pair, pair_count, variable_multisets
+from .veronese import (Monomial, column_position, pair, pair_count,
+                       variable_multisets)
 
 
 class SparsePoly:
@@ -133,106 +131,33 @@ def degree_split(p: SparsePoly) -> dict[tuple[int, ...], SparsePoly]:
     return {b: SparsePoly(p.n, t) for b, t in parts.items()}
 
 
-# -- twisting automorphisms and sign characters -----------------------
+# -- twistings and sign characters, as bit masks ----------------------
+#
+# A sign character is an int mask over ``character_pairs(n)``: bit k is
+# set where its k-th sign is -1.  A twisting, the sign automorphism
+# negating some variables, is an int mask over the columns of
+# ``variable_multisets(2, n)``: bit k is set where the k-th variable
+# changes sign.
 
-class Twisting:
-    """Sign automorphism: each variable maps to plus or minus itself."""
-
-    __slots__ = ("n", "signs")
-
-    def __init__(self, n: int, signs=None):
-        self.n = n
-        self.signs: dict[tuple[int, int], int] = {}
-        for key, s in (signs or {}).items():
-            if s not in (1, -1):
-                raise ValueError("signs must be +1 or -1")
-            self.signs[pair(*key)] = s
-
-    def sign(self, i: int, j: int) -> int:
-        return self.signs.get(pair(i, j), 1)
-
-    @classmethod
-    def identity(cls, n: int) -> "Twisting":
-        return cls(n)
-
-    def __repr__(self):
-        flipped = sorted(k for k, s in self.signs.items() if s == -1)
-        body = ",".join(f"{i}{j}:-" for i, j in flipped) or "identity"
-        return f"Twisting(n={self.n}, {body})"
+def _check_mask(mask: int, bits: int, kind: str) -> None:
+    """Refuse a negative mask or one with a bit past its ``bits``
+    coordinates, rather than truncate it."""
+    if not 0 <= mask < 1 << bits:
+        raise SizeMismatch(f"{kind} over a different variable set")
 
 
-def twist(p: SparsePoly, t: Twisting) -> SparsePoly:
-    """Apply a sign automorphism; an involution when applied twice."""
-    if p.n != t.n:
-        raise SizeMismatch("twisting over a different variable set")
-    cols = variable_multisets(2, p.n)
+def twist(p: SparsePoly, flips: int) -> SparsePoly:
+    """Apply the twisting ``flips``; an involution when applied twice.
+
+    A term changes sign when an odd number of its odd-exponent
+    variables are flipped.
+    """
+    _check_mask(flips, len(variable_multisets(2, p.n)), "twisting")
     out = {}
     for m, c in p.terms.items():
-        s = 1
-        for k, e in enumerate(m.exps):
-            if e & 1 and t.sign(*cols[k]) < 0:
-                s = -s
-        out[m] = c if s > 0 else -c
+        odd = sum((e & 1) << k for k, e in enumerate(m.exps))
+        out[m] = character_sign(flips, odd) * c
     return SparsePoly(p.n, out)
-
-
-@dataclass(frozen=True)
-class SignCharacter:
-    """A plus/minus assignment on the off-diagonal pairs of [n-1].
-
-    These parametrize the 2**binom(n-1, 2) components of the prime
-    decomposition of the principal-minor ideal; ``signs`` is indexed by
-    the pairs {i < j <= n-1} in lexicographic order.  ``mask`` has bit k
-    set where ``signs[k]`` is -1, so eps takes the value -1 on a parity
-    mask (``off_diagonal_parities``) exactly when ``mask & parities``
-    has an odd number of bits.
-    """
-
-    n: int
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.signs) != pair_count(self.n - 1):
-            raise SizeMismatch("need one sign per off-diagonal pair of [n-1]")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
-
-    @cached_property
-    def mask(self) -> int:
-        mask = 0
-        for s in reversed(self.signs):
-            mask = mask << 1 | (s < 0)
-        return mask
-
-    @classmethod
-    def trivial(cls, n: int) -> "SignCharacter":
-        return cls(n, (1,) * pair_count(n - 1))
-
-    @classmethod
-    def from_pairs(cls, n: int, assignments: dict[tuple[int, int], int]
-                   ) -> "SignCharacter":
-        order = character_pairs(n)
-        index = {p: k for k, p in enumerate(order)}
-        signs = [1] * len(order)
-        for key, s in assignments.items():
-            p = pair(*key)
-            if p not in index:
-                raise SizeMismatch(f"pair {p} is not an off-diagonal pair of [n-1]")
-            signs[index[p]] = s
-        return cls(n, tuple(signs))
-
-    def eps(self, i: int, j: int) -> int:
-        order = character_pairs(self.n)
-        return self.signs[order.index(pair(i, j))]
-
-    def is_trivial(self) -> bool:
-        return all(s == 1 for s in self.signs)
-
-    def spec(self) -> str:
-        """Compact text form, e.g. ``12:-,13:+,23:+``."""
-        parts = [f"{i}{j}:{'+' if s > 0 else '-'}"
-                 for (i, j), s in zip(character_pairs(self.n), self.signs)]
-        return ",".join(parts) if parts else "trivial"
 
 
 def character_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -240,35 +165,52 @@ def character_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n) for j in range(i + 1, n))
 
 
-def all_characters(n: int) -> list[SignCharacter]:
-    """All sign characters in a fixed order; the trivial one comes first."""
-    k = pair_count(n - 1)
-    return [SignCharacter(n, signs) for signs in product((1, -1), repeat=k)]
+def all_characters(n: int) -> list[int]:
+    """All sign characters, as masks in increasing order; the trivial
+    one, 0, comes first.
+
+    These parametrize the 2**binom(n-1, 2) components of the prime
+    decomposition of the principal-minor ideal.
+    """
+    return list(range(1 << pair_count(n - 1)))
 
 
-def character_of_twisting(t: Twisting) -> SignCharacter:
+def character_spec(n: int, mask: int) -> str:
+    """Compact text form, e.g. ``12:-,13:+,23:+``."""
+    _check_mask(mask, pair_count(n - 1), "character")
+    parts = [f"{i}{j}:{'-' if mask >> k & 1 else '+'}"
+             for k, (i, j) in enumerate(character_pairs(n))]
+    return ",".join(parts) if parts else "trivial"
+
+
+def character_of_twisting(n: int, flips: int) -> int:
     """The sign character a twisting induces on the kernel lattice.
 
     Coordinate (i, j) is the relative sign the twisting puts on the
     binomial x_ij*x_nn - x_in*x_jn, i.e. the product of the four
     variable signs on its support.
     """
-    n = t.n
-    signs = []
-    for i, j in character_pairs(n):
-        s = t.sign(i, j) * t.sign(i, n) * t.sign(j, n) * t.sign(n, n)
-        signs.append(s)
-    return SignCharacter(n, tuple(signs))
+    _check_mask(flips, len(variable_multisets(2, n)), "twisting")
+    pos = column_position(2, n)
+    mask = 0
+    for k, (i, j) in enumerate(character_pairs(n)):
+        support = (1 << pos[i, j] | 1 << pos[i, n] | 1 << pos[j, n]
+                   | 1 << pos[n, n])
+        mask |= ((flips & support).bit_count() & 1) << k
+    return mask
 
 
-def twisting_from_character(eps: SignCharacter) -> Twisting:
-    """Some twisting inducing eps: flip exactly the negative (i, j) pairs.
+def twisting_from_character(n: int, mask: int) -> int:
+    """Some twisting inducing the character: flip exactly the negative
+    (i, j) pairs.
 
     Any preimage works; this one leaves every variable meeting the last
     index, and every diagonal variable, fixed.
     """
-    flips = {p: s for p, s in zip(character_pairs(eps.n), eps.signs) if s < 0}
-    return Twisting(eps.n, flips)
+    _check_mask(mask, pair_count(n - 1), "character")
+    pos = column_position(2, n)
+    return sum(1 << pos[p] for k, p in enumerate(character_pairs(n))
+               if mask >> k & 1)
 
 
 def character_sign(mask: int, parities: int) -> int:
@@ -277,20 +219,22 @@ def character_sign(mask: int, parities: int) -> int:
     return -1 if (mask & parities).bit_count() & 1 else 1
 
 
-def character_value(eps: SignCharacter, u: Monomial, u0: Monomial) -> int:
-    """Value of eps on the difference u - u0 (two points of one fiber).
+def character_value(mask: int, u: Monomial, u0: Monomial) -> int:
+    """Value of the character on the difference u - u0 (two points of one
+    fiber).
 
     Only the parities of the off-diagonal off-last-column entries of
     u - u0 matter, because those entries are exactly the coordinates of
     the difference in the kernel-lattice basis.
     """
-    if u.n != eps.n or u0.n != eps.n:
+    if u0.n != u.n:
         raise SizeMismatch("character over a different variable set")
+    _check_mask(mask, pair_count(u.n - 1), "character")
     if u.degree() != u0.degree():
         raise DegreeMismatch("monomials lie in different fibers")
-    diff = (off_diagonal_parities(u.exps, eps.n)
-            ^ off_diagonal_parities(u0.exps, eps.n))
-    return character_sign(eps.mask, diff)
+    diff = (off_diagonal_parities(u.exps, u.n)
+            ^ off_diagonal_parities(u0.exps, u.n))
+    return character_sign(mask, diff)
 
 
 # -- normal forms modulo the principal-minor ideal ---------------------
@@ -333,22 +277,21 @@ def in_principal_minor_ideal(p: SparsePoly) -> bool:
     return not _class_sums(p)
 
 
-def in_twisted_veronese(p: SparsePoly, eps: SignCharacter) -> bool:
-    """Membership in the twisted Veronese component attached to eps.
+def in_twisted_veronese(p: SparsePoly, mask: int) -> bool:
+    """Membership in the twisted Veronese component of a character.
 
     Per multidegree, the quotient by the (twisted) Veronese ideal is
     one-dimensional, so the degree piece of the component is the kernel
-    of a single character-weighted coefficient sum.  Eps is constant on
-    each class, so that sum is the total of the class sums, each signed
-    by eps on its class parities; no basepoint is needed, because
-    changing it multiplies a degree's total by +-1.
+    of a single character-weighted coefficient sum.  The character is
+    constant on each class, so that sum is the total of the class sums,
+    each signed by the character on its class parities; no basepoint is
+    needed, because changing it multiplies a degree's total by +-1.
     """
-    if p.n != eps.n:
-        raise SizeMismatch("character over a different variable set")
+    _check_mask(mask, pair_count(p.n - 1), "character")
     totals: dict[tuple[int, ...], Fraction] = {}
     for (degree, parities), s in _class_sums(p).items():
         totals[degree] = (totals.get(degree, 0)
-                          + character_sign(eps.mask, parities) * s)
+                          + character_sign(mask, parities) * s)
     return not any(totals.values())
 
 
@@ -462,9 +405,9 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
 
 
 __all__ = [
-    "SignCharacter", "SparsePoly", "Twisting",
-    "all_characters", "character_of_twisting", "character_pairs",
-    "character_sign", "character_value", "degree_split",
+    "SparsePoly", "all_characters", "character_of_twisting",
+    "character_pairs", "character_sign", "character_spec",
+    "character_value", "degree_split",
     "in_principal_minor_ideal", "in_twisted_veronese", "multidegree",
     "normal_form", "parse_poly", "render_poly", "twist",
     "twisting_from_character",

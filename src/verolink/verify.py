@@ -31,8 +31,8 @@ from .fibers import (_check_level, _fibers_of_sum, degrees_up_to,
 from .ideals import (generator_lattice, higher_veronese_gens,
                      principal_minor_gens, veronese_minor_gens)
 from .link import link_generators
-from .poly import (SignCharacter, SparsePoly, all_characters, character_sign,
-                   in_principal_minor_ideal, multidegree)
+from .poly import (SparsePoly, _check_mask, all_characters, character_sign,
+                   character_spec, in_principal_minor_ideal, multidegree)
 from .veronese import Monomial, pair_count, veronese_matrix
 
 
@@ -116,19 +116,17 @@ def _character_rows(n: int, fiber: list[tuple[int, ...]],
     return IntMatrix(rows, cols=len(fiber))
 
 
-def subintersection_degree_piece(n: int, omitted: SignCharacter, b
-                                 ) -> DegreePiece:
+def subintersection_degree_piece(n: int, omitted: int, b) -> DegreePiece:
     """Degree-b piece of the intersection of all components but one.
 
     The piece is the common kernel of the character-weighted coefficient
     sums over every sign character except the omitted one; the weights
     are taken relative to the dictionary-least fiber point.
     """
-    if omitted.n != n:
-        raise SizeMismatch("character over a different variable set")
+    _check_mask(omitted, pair_count(n - 1), "character")
     b = tuple(b)
     fiber = enumerate_fiber(n, b)
-    masks = [eps.mask for eps in all_characters(n) if eps != omitted]
+    masks = [m for m in all_characters(n) if m != omitted]
     vectors = rational_nullspace(_character_rows(n, [m.exps for m in fiber],
                                                  masks))
     return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
@@ -150,7 +148,7 @@ class VerificationReport:
     n: int
     degree_bound: int
     kind: str
-    omitted: SignCharacter | None
+    omitted: int | None
     records: tuple[DegreeRecord, ...]
 
     @property
@@ -172,7 +170,8 @@ class VerificationReport:
             "n": self.n,
             "bound": self.degree_bound,
             "kind": self.kind,
-            "omitted": self.omitted.spec() if self.omitted is not None else None,
+            "omitted": (character_spec(self.n, self.omitted)
+                        if self.omitted is not None else None),
             "records": [
                 {"degree": list(r.degree), "fiber": r.fiber_size,
                  "ideal_dim": r.ideal_dim, "target_dim": r.target_dim,
@@ -317,7 +316,7 @@ def _check_degrees(n: int, gens: list[SparsePoly], masks: Sequence[int],
     return tuple(records)
 
 
-def verify_link(n: int, omitted: SignCharacter, total_degree_bound: int
+def verify_link(n: int, omitted: int, total_degree_bound: int
                 ) -> VerificationReport:
     """Check that the link generators span the subintersection.
 
@@ -328,13 +327,12 @@ def verify_link(n: int, omitted: SignCharacter, total_degree_bound: int
     when the bound reaches that sum.  A negative bound raises ValueError.
     """
     first_extra = sum(minimal_saturated_fibers(n)[0])  # refuses n < 3
-    if omitted.n != n:
-        raise SizeMismatch("character over a different variable set")
+    _check_mask(omitted, pair_count(n - 1), "character")
     if total_degree_bound < first_extra:
         gens = principal_minor_gens(n)
     else:
-        gens = link_generators(n, omitted).all_gens()
-    masks = [m for m in range(1 << pair_count(n - 1)) if m != omitted.mask]
+        gens = link_generators(n, omitted)
+    masks = [m for m in range(1 << pair_count(n - 1)) if m != omitted]
     records = _check_degrees(n, gens, masks, total_degree_bound)
     return VerificationReport(n=n, degree_bound=total_degree_bound, kind="link",
                               omitted=omitted, records=records)

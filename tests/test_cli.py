@@ -116,6 +116,16 @@ def test_only_the_variables_present_are_checked_against_n(capsys, monkeypatch,
         assert out == "" and "variable index 2 exceeds n=1" in err
 
 
+@pytest.mark.parametrize("eps", ["12:-", "12:+", ""])
+def test_member_of_jn_takes_no_character(capsys, monkeypatch, eps):
+    # J_n has no sign character; an --eps given with it is not ignored.
+    code, out, err = run(capsys, ["member", "--ideal", "jn", "--eps", eps,
+                                  "-n", "3"], stdin="x11",
+                         monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert "--eps" in err
+
+
 def test_colon_membership_cli(capsys, monkeypatch):
     code, out, _ = run(capsys, ["colon", "-n", "3"],
                        stdin="x11*x23 + x12*x13", monkeypatch=monkeypatch)
@@ -328,7 +338,9 @@ def test_laurent_check_outside_its_range_is_a_usage_error(capsys, k):
     assert "k <= 7" in err
 
 
-@pytest.mark.parametrize("spec", ["123:-", "1:-", "12:", "12:+-", "12", "a2:-"])
+# An empty item is refused rather than read as no sign.
+@pytest.mark.parametrize("spec", ["123:-", "1:-", "12:", "12:+-", "12", "a2:-",
+                                  ",", "12:-,", ",12:-", "12:-,,13:-", " "])
 def test_malformed_sign_spec_is_a_usage_error(capsys, monkeypatch, spec):
     code, out, _ = run(capsys, ["verify-link", "-n", "3", "--bound", "2",
                                 "--omit", spec])

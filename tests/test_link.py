@@ -7,10 +7,11 @@ import pytest
 
 from verolink.errors import IndexOutOfRange, NotOdd, SizeCapExceeded
 from verolink.fibers import off_diagonal_parities
+from verolink.ideals import principal_minor_gens
 from verolink.link import (check_saturation_identity, check_syzygy,
                            link_generators, saturated_fiber_poly,
                            saturation_exponent, zonotope_poly)
-from verolink.poly import (SignCharacter, SparsePoly, in_principal_minor_ideal,
+from verolink.poly import (SparsePoly, in_principal_minor_ideal,
                            multidegree, normal_form, parse_poly, render_poly)
 from verolink.veronese import Monomial, pair_count
 
@@ -125,9 +126,9 @@ def test_syzygy_preconditions():
 
 
 def test_link_generators_trivial_n3():
-    gens = link_generators(3, SignCharacter.trivial(3))
-    assert len(gens.binomial_part) == 3
-    extra = {render_poly(p) for p in gens.extra}
+    gens = link_generators(3, 0)
+    assert len(gens) == 6 and gens[:3] == principal_minor_gens(3)
+    extra = {render_poly(p) for p in gens[3:]}
     assert extra == {"x11*x23 + x12*x13", "x12*x23 + x13*x22",
                      "x12*x33 + x13*x23"}
 
@@ -135,18 +136,16 @@ def test_link_generators_trivial_n3():
 def test_link_generators_flipped_n3():
     # Omitting the flipped component leaves the untwisted Veronese ideal:
     # the extra generators become exactly its non-principal minors.
-    eps = SignCharacter.from_pairs(3, {(1, 2): -1})
-    gens = link_generators(3, eps)
+    gens = link_generators(3, 1)  # 12:-
     expected = [parse_poly(s, n=3) for s in
                 ["x11*x23 - x12*x13", "x13*x22 - x12*x23",
                  "x13*x23 - x12*x33"]]
-    assert list(gens.extra) == expected
+    assert gens == principal_minor_gens(3) + expected
 
 
 def test_link_generators_trivial_n4():
-    gens = link_generators(4, SignCharacter.trivial(4))
-    assert len(gens.extra) == 1
-    assert gens.extra[0] == saturated_fiber_poly(4, 1)
+    gens = link_generators(4, 0)
+    assert gens == principal_minor_gens(4) + [saturated_fiber_poly(4, 1)]
 
 
 def test_longest_polynomial_property():

@@ -7,13 +7,13 @@ import pytest
 
 from verolink.errors import (DegreeMismatch, Inhomogeneous, SizeMismatch,
                              ZeroPolynomial)
-from verolink.poly import (SignCharacter, SparsePoly, Twisting,
-                           all_characters, character_of_twisting,
-                           character_pairs, character_value, degree_split,
-                           in_principal_minor_ideal, in_twisted_veronese,
-                           multidegree, normal_form, parse_poly, render_poly,
-                           twist, twisting_from_character)
-from verolink.veronese import Monomial
+from verolink.poly import (SparsePoly, all_characters, character_of_twisting,
+                           character_pairs, character_spec, character_value,
+                           degree_split, in_principal_minor_ideal,
+                           in_twisted_veronese, multidegree, normal_form,
+                           parse_poly, render_poly, twist,
+                           twisting_from_character)
+from verolink.veronese import Monomial, column_position
 
 
 def random_poly(rng, n, terms=4, degree=3):
@@ -94,49 +94,70 @@ def test_degree_split():
 
 # -- twisting -------------------------------------------------------------
 
+def flips(n, *pairs):
+    """The twisting mask negating the given variables."""
+    pos = column_position(2, n)
+    return sum(1 << pos[p] for p in pairs)
+
+
+def sign_at(n, mask, i, j):
+    """The sign a character mask puts on the pair (i, j)."""
+    return -1 if mask >> character_pairs(n).index((i, j)) & 1 else 1
+
+
 def test_twist_golden_example():
     # Negating x12, x13, x23 maps x11 x23 - x12 x13 to the negative of
     # x11 x23 + x12 x13: the image generates the same ideal as the
     # plus-sign minor but carries a global sign, because both monomials
     # pick up an odd number of flips.
-    t = Twisting(3, {(1, 2): -1, (1, 3): -1, (2, 3): -1})
+    t = flips(3, (1, 2), (1, 3), (2, 3))
     p = parse_poly("x11*x23 - x12*x13")
     assert twist(p, t) == -parse_poly("x11*x23 + x12*x13")
     # Flipping only x12 realizes the same character with clean signs.
-    assert twist(parse_poly("x11*x23 - x12*x13"), Twisting(3, {(1, 2): -1})) \
+    assert twist(parse_poly("x11*x23 - x12*x13"), flips(3, (1, 2))) \
         == parse_poly("x11*x23 + x12*x13")
 
 
 def test_twist_identity_and_involution():
     rng = random.Random(2)
     p = random_poly(rng, 4)
-    assert twist(p, Twisting.identity(4)) == p
-    t = Twisting(4, {(1, 4): -1, (2, 2): -1})
+    assert twist(p, 0) == p
+    t = flips(4, (1, 4), (2, 2))
     assert twist(twist(p, t), t) == p
 
 
 def test_twist_is_ring_automorphism():
     rng = random.Random(3)
-    t = Twisting(4, {(1, 2): -1, (3, 4): -1, (1, 1): -1})
+    t = flips(4, (1, 2), (3, 4), (1, 1))
     for _ in range(5):
         p, q = random_poly(rng, 4), random_poly(rng, 4)
         assert twist(p * q, t) == twist(p, t) * twist(q, t)
         assert twist(p + q, t) == twist(p, t) + twist(q, t)
 
 
+@pytest.mark.parametrize("t", [1 << 6, -1, -(1 << 6)])
+def test_twist_refuses_a_mask_outside_the_variables(t):
+    # n = 3 has six variables; a higher or negative bit is not dropped.
+    with pytest.raises(SizeMismatch,
+                       match="twisting over a different variable set"):
+        twist(parse_poly("x11*x23 - x12*x13"), t)
+    with pytest.raises(SizeMismatch):
+        character_of_twisting(3, t)
+
+
 # -- characters ------------------------------------------------------------
 
 def test_character_of_identity_twisting():
-    assert character_of_twisting(Twisting.identity(4)).is_trivial()
+    assert character_of_twisting(4, 0) == 0
 
 
 def test_character_of_twisting_single_flip():
     # Negating x14 flips the sign of both binomials whose support meets
     # it: the (1,2) and (1,3) coordinates.
-    eps = character_of_twisting(Twisting(4, {(1, 4): -1}))
-    assert eps.eps(1, 2) == -1
-    assert eps.eps(1, 3) == -1
-    assert eps.eps(2, 3) == 1
+    eps = character_of_twisting(4, flips(4, (1, 4)))
+    assert sign_at(4, eps, 1, 2) == -1
+    assert sign_at(4, eps, 1, 3) == -1
+    assert sign_at(4, eps, 2, 3) == 1
 
 
 def test_character_of_twisting_oracle():
@@ -145,12 +166,13 @@ def test_character_of_twisting_oracle():
     rng = random.Random(4)
     n = 4
     for _ in range(10):
-        signs = {}
+        negated = []
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                signs[(i, j)] = rng.choice([1, -1])
-        t = Twisting(n, signs)
-        eps = character_of_twisting(t)
+                if rng.choice([1, -1]) < 0:
+                    negated.append((i, j))
+        t = flips(n, *negated)
+        eps = character_of_twisting(n, t)
         for i, j in character_pairs(n):
             plus = twist(SparsePoly.monomial(
                 Monomial.from_pairs(n, {(i, j): 1, (n, n): 1})), t)
@@ -158,43 +180,56 @@ def test_character_of_twisting_oracle():
                 Monomial.from_pairs(n, {(i, n): 1, (j, n): 1})), t)
             sign_plus = next(iter(plus.terms.values()))
             sign_minus = next(iter(minus.terms.values()))
-            assert eps.eps(i, j) == sign_plus * sign_minus
+            assert sign_at(n, eps, i, j) == sign_plus * sign_minus
 
 
 def test_character_from_example_automorphism():
     # The classical n = 3 sign automorphism negating x12, x13, x23.
-    t = Twisting(3, {(1, 2): -1, (1, 3): -1, (2, 3): -1})
-    assert character_of_twisting(t).eps(1, 2) == -1
+    t = flips(3, (1, 2), (1, 3), (2, 3))
+    assert sign_at(3, character_of_twisting(3, t), 1, 2) == -1
 
 
 def test_twisting_from_character_round_trip():
     for n in (3, 4):
         for eps in all_characters(n):
-            assert character_of_twisting(twisting_from_character(eps)) == eps
+            assert character_of_twisting(n, twisting_from_character(n, eps)) \
+                == eps
+
+
+@pytest.mark.parametrize("n, mask", [(3, 2), (3, -1), (4, 1 << 3), (4, -1)])
+def test_a_character_mask_outside_its_pairs_is_refused(n, mask):
+    u = Monomial.variable(n, 1, 1)
+    for call in (lambda: twisting_from_character(n, mask),
+                 lambda: character_spec(n, mask),
+                 lambda: character_value(mask, u, u),
+                 lambda: in_twisted_veronese(SparsePoly.monomial(u), mask)):
+        with pytest.raises(SizeMismatch,
+                           match="character over a different variable set"):
+            call()
 
 
 def test_character_value_goldens():
     n = 4
-    eps = SignCharacter.from_pairs(n, {(1, 2): -1})
+    eps = 1  # 12:-
     u = Monomial.from_pairs(n, {(1, 2): 1, (3, 4): 1})
     u0 = Monomial.from_pairs(n, {(1, 3): 1, (2, 4): 1})
     assert character_value(eps, u, u0) == -1
     assert character_value(eps, u, u) == 1
-    assert character_value(SignCharacter.trivial(n), u, u0) == 1
+    assert character_value(0, u, u0) == 1
 
 
 def test_character_value_degree_mismatch():
-    eps = SignCharacter.trivial(3)
     with pytest.raises(DegreeMismatch):
-        character_value(eps, Monomial.variable(3, 1, 1),
+        character_value(0, Monomial.variable(3, 1, 1),
                         Monomial.variable(3, 1, 2))
 
 
 def test_all_characters_count_and_order():
     chars = all_characters(4)
     assert len(chars) == 8
-    assert chars[0].is_trivial()
+    assert chars[0] == 0
     assert len(set(chars)) == 8
+    assert chars == sorted(chars)
 
 
 # -- normal forms ------------------------------------------------------------
@@ -220,8 +255,7 @@ def test_normal_form_inhomogeneous_raises():
 def test_membership_examples():
     assert in_principal_minor_ideal(parse_poly("x11*x22 - x12*x12", n=3))
     assert not in_principal_minor_ideal(parse_poly("x11*x23 - x12*x13"))
-    trivial = SignCharacter.trivial(3)
-    flipped = SignCharacter.from_pairs(3, {(1, 2): -1})
+    trivial, flipped = 0, 1  # 12:+ and 12:-
     assert in_twisted_veronese(parse_poly("x11*x23 - x12*x13"), trivial)
     assert not in_twisted_veronese(parse_poly("x11*x23 + x12*x13"), trivial)
     assert in_twisted_veronese(parse_poly("x11*x23 + x12*x13"), flipped)
@@ -263,7 +297,7 @@ def test_basepoint_independence_of_membership():
     rng = random.Random(7)
     n = 3
     fiber_poly = parse_poly("x11*x23 + x12*x13")
-    eps = SignCharacter.from_pairs(n, {(1, 2): -1})
+    eps = 1  # 12:-
     support = list(fiber_poly.terms)
     for u0 in support:
         total = sum(fiber_poly.terms[m] * character_value(eps, m, u0)
@@ -290,7 +324,7 @@ def _membership_samples(seed, count):
         if k % 2:
             gens = principal_minor_gens(n)
         else:
-            phi = twisting_from_character(rng.choice(all_characters(n)))
+            phi = twisting_from_character(n, rng.choice(all_characters(n)))
             gens = [twist(g, phi) for g in veronese_minor_gens(n)]
         p = SparsePoly.zero(n)
         for g in rng.sample(gens, 3):
@@ -422,6 +456,7 @@ def test_parse_rejects_a_slash_outside_the_coefficient(text):
 
 
 def test_spec_strings():
-    eps = SignCharacter.from_pairs(4, {(1, 2): -1})
-    assert eps.spec() == "12:-,13:+,23:+"
-    assert SignCharacter.trivial(3).spec() == "12:+"
+    assert character_spec(4, 1) == "12:-,13:+,23:+"
+    assert character_spec(4, 0b110) == "12:+,13:-,23:-"
+    assert character_spec(3, 0) == "12:+"
+    assert character_spec(2, 0) == "trivial"

@@ -23,9 +23,9 @@ from verolink.fibers import (_class_maxima, _fibers_of_sum, _raw_fiber,
                              class_key, degrees_up_to, enumerate_fiber,
                              off_diagonal_parities)
 from verolink.link import link_generators
-from verolink.poly import (SignCharacter, SparsePoly, Twisting, all_characters,
-                           character_pairs, character_value, normal_form,
-                           parse_poly, render_poly, twist)
+from verolink.poly import (SparsePoly, all_characters, character_pairs,
+                           character_value, normal_form, parse_poly,
+                           render_poly, twist)
 from verolink.veronese import Monomial, pair_count, variable_multisets
 from verolink.verify import (_decide_degree, _prepared, _restrictor,
                              _split_edges, ideal_degree_piece,
@@ -96,9 +96,7 @@ def rational_matrices(draw):
 
 
 def characters(n):
-    signs = st.lists(st.sampled_from((1, -1)), min_size=pair_count(n - 1),
-                     max_size=pair_count(n - 1))
-    return signs.map(lambda s: SignCharacter(n, tuple(s)))
+    return st.integers(0, (1 << pair_count(n - 1)) - 1)
 
 
 def parity_tuple(m: Monomial) -> tuple[int, ...]:
@@ -125,10 +123,7 @@ def test_class_key_of_a_product_adds_degrees_and_xors_parities(data):
 def test_twist_is_an_involution(data):
     n = data.draw(sizes)
     p = data.draw(polys(n))
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    signs = data.draw(st.dictionaries(st.sampled_from(pairs),
-                                      st.sampled_from((1, -1))))
-    t = Twisting(n, signs)
+    t = data.draw(st.integers(0, (1 << len(variable_multisets(2, n))) - 1))
     assert twist(twist(p, t), t) == p
 
 
@@ -148,8 +143,8 @@ def test_character_value_is_the_sign_product_over_differing_parities(data):
     u0 = data.draw(st.sampled_from(enumerate_fiber(n, u.degree())))
     eps = data.draw(characters(n))
     expected = 1
-    for s, a, b in zip(eps.signs, parity_tuple(u), parity_tuple(u0)):
-        if a != b and s < 0:
+    for k, (a, b) in enumerate(zip(parity_tuple(u), parity_tuple(u0))):
+        if a != b and eps >> k & 1:
             expected = -expected
     assert character_value(eps, u, u0) == expected
 
@@ -197,8 +192,8 @@ def test_class_route_equals_the_public_fiber_route(data):
     n = data.draw(st.integers(3, 4))
     b = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
     omitted = data.draw(characters(n))
-    gens = link_generators(n, omitted).all_gens()
-    masks = [eps.mask for eps in all_characters(n) if eps != omitted]
+    gens = link_generators(n, omitted)
+    masks = [m for m in all_characters(n) if m != omitted]
     record = _decide_degree(b, n, _raw_fiber(2, n, b),
                             *_split_edges(_prepared(gens, n)), _restrictor(masks))
     ideal = ideal_degree_piece(gens, n, b)

@@ -9,9 +9,8 @@ from verolink.exactlin import contains_column_space
 from verolink.fibers import minimal_saturated_fibers
 from verolink.ideals import principal_minor_gens
 from verolink.link import link_generators, saturated_fiber_poly
-from verolink.poly import (SignCharacter, SparsePoly, all_characters,
-                           parse_poly)
-from verolink.veronese import Monomial
+from verolink.poly import SparsePoly, all_characters, parse_poly
+from verolink.veronese import Monomial, pair_count
 from verolink.verify import (colon_membership, group_algebra_subintersection,
                              higher_torsion, ideal_degree_piece,
                              subintersection_degree_piece,
@@ -37,7 +36,7 @@ def test_ideal_piece_with_extra_generator():
 
 
 def test_subintersection_piece_goldens():
-    trivial = SignCharacter.trivial(3)
+    trivial = 0
     piece = subintersection_degree_piece(3, trivial, (2, 1, 1))
     assert piece.dimension() == 1
     vec = piece.vectors.column(0)
@@ -46,41 +45,39 @@ def test_subintersection_piece_goldens():
     # A singleton fiber gives a 1x1 sign matrix with trivial kernel.
     assert subintersection_degree_piece(3, trivial, (2, 0, 0)).dimension() == 0
 
-    trivial4 = SignCharacter.trivial(4)
-    assert subintersection_degree_piece(4, trivial4, (1, 1, 1, 1)).dimension() == 0
+    assert subintersection_degree_piece(4, trivial, (1, 1, 1, 1)).dimension() == 0
 
 
 @pytest.mark.parametrize("b", [(1, 0, 0), (-1, 1, 0)])
 def test_subintersection_piece_off_the_monoid_is_empty(b):
-    piece = subintersection_degree_piece(3, SignCharacter.trivial(3), b)
+    piece = subintersection_degree_piece(3, 0, b)
     assert piece == ideal_degree_piece(principal_minor_gens(3), 3, b)
     assert piece.fiber == ()
     assert (piece.vectors.rows, piece.vectors.cols) == (0, 0)
 
 
 def test_verify_link_trivial_small_bound():
-    report = verify_link(3, SignCharacter.trivial(3), 2)
+    report = verify_link(3, 0, 2)
     assert report.verdict
     assert all(r.ideal_dim == 0 and r.target_dim == 0 for r in report.records)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_verify_link_trivial(n):
-    report = verify_link(n, SignCharacter.trivial(n), 8)
+    report = verify_link(n, 0, 8)
     assert report.verdict
     # Make sure the check is not vacuous: some degrees carry content.
     assert any(r.ideal_dim > 0 for r in report.records)
 
 
 def test_verify_link_nontrivial_character_n3():
-    eps = SignCharacter.from_pairs(3, {(1, 2): -1})
-    assert verify_link(3, eps, 8).verdict
+    assert verify_link(3, 1, 8).verdict  # 12:-
 
 
 def test_both_containments_hold_per_degree():
     n = 3
-    omitted = SignCharacter.trivial(n)
-    gens = link_generators(n, omitted).all_gens()
+    omitted = 0
+    gens = link_generators(n, omitted)
     from verolink.fibers import degrees_up_to
     for b in degrees_up_to(n, 6):
         ideal = ideal_degree_piece(gens, n, b)
@@ -92,11 +89,11 @@ def test_equal_dimensions_with_another_span_fail(monkeypatch):
     # The link of another character has the right dimension in every
     # degree but a different span, so only the containment check fails it.
     import verolink.verify as verify
-    other = SignCharacter.from_pairs(3, {(1, 2): -1})
+    other = 1  # 12:-
     real = verify.link_generators
     monkeypatch.setattr(verify, "link_generators",
                         lambda n, omitted: real(n, other))
-    report = verify_link(3, SignCharacter.trivial(3), 6)
+    report = verify_link(3, 0, 6)
     failed = [r for r in report.records if not r.equal]
     assert failed and not report.verdict
     assert all(r.ideal_dim == r.target_dim for r in failed)
@@ -116,9 +113,9 @@ def test_extra_generators_are_built_only_from_their_sum(monkeypatch, n, bound):
     omitted = all_characters(n)[-1]
     report = verify_link(n, omitted, bound)
     assert bound < first and not calls
-    masks = [m for m in range(1 << len(omitted.signs)) if m != omitted.mask]
+    masks = [m for m in range(1 << pair_count(n - 1)) if m != omitted]
     assert report.records == verify._check_degrees(
-        n, real(n, omitted).all_gens(), masks, bound)
+        n, real(n, omitted), masks, bound)
     if n < 5:
         verify_link(n, omitted, first)
         assert calls == [n]
@@ -126,18 +123,24 @@ def test_extra_generators_are_built_only_from_their_sum(monkeypatch, n, bound):
 
 def test_verify_link_refuses_a_small_n_or_a_foreign_character():
     with pytest.raises(IndexOutOfRange, match="n >= 3"):
-        verify_link(2, SignCharacter.trivial(2), 2)
-    # Also below the sum of the extra generators, which are not built there.
-    for bound in (2, 8):
-        with pytest.raises(SizeMismatch):
-            verify_link(4, SignCharacter.trivial(3), bound)
+        verify_link(2, 0, 2)
+    # A mask with a bit past the character's pairs, or a negative one, is
+    # refused, not truncated; also below the sum of the extra generators,
+    # which are not built there.
+    for n, mask in ((3, 2), (3, -1), (4, 1 << 3), (4, -1)):
+        for bound in (2, 8):
+            with pytest.raises(SizeMismatch,
+                               match="character over a different variable set"):
+                verify_link(n, mask, bound)
+    with pytest.raises(SizeMismatch):
+        subintersection_degree_piece(3, 2, (2, 1, 1))
 
 
 def test_dimension_gap_at_most_one():
     # The subintersection piece exceeds the complete-intersection piece
     # by at most one dimension in every degree.
     n = 4
-    omitted = SignCharacter.trivial(n)
+    omitted = 0
     gens = list(principal_minor_gens(n))
     from verolink.fibers import degrees_up_to
     for b in degrees_up_to(n, 8):
@@ -175,9 +178,9 @@ def test_generator_degrees_are_read_once_per_check(monkeypatch):
     verify_decomposition(3, 8)
     assert len(calls) == len(principal_minor_gens(3))
     calls.clear()
-    omitted = SignCharacter.trivial(3)
+    omitted = 0
     verify_link(3, omitted, 8)
-    assert len(calls) == len(link_generators(3, omitted).all_gens())
+    assert len(calls) == len(link_generators(3, omitted))
 
 
 def test_each_level_is_enumerated_once(monkeypatch):
@@ -191,7 +194,7 @@ def test_each_level_is_enumerated_once(monkeypatch):
     monkeypatch.setattr(verify, "_fibers_of_sum",
                         lambda n, s: levels.append((s, real(n, s))) or levels[-1][1])
     monkeypatch.setattr(fibers, "_raw_fiber", None)
-    report = verify_link(3, SignCharacter.trivial(3), 6)
+    report = verify_link(3, 0, 6)
     assert report.verdict
     assert [s for s, _ in levels] == [0, 2, 4, 6]
     assert [b for _, level in levels for b in sorted(level)] \
@@ -227,7 +230,7 @@ def test_verify_decomposition_bound_zero():
 
 
 def test_report_serialization():
-    report = verify_link(3, SignCharacter.trivial(3), 4)
+    report = verify_link(3, 0, 4)
     lines = report.to_lines()
     assert lines[-1].startswith("verdict=pass")
     payload = report.to_json_dict()
@@ -241,8 +244,8 @@ def test_random_span_members_pass_all_characters():
     from verolink.poly import in_twisted_veronese
     rng = random.Random(9)
     n = 3
-    omitted = SignCharacter.trivial(n)
-    gens = link_generators(n, omitted).all_gens()
+    omitted = 0
+    gens = link_generators(n, omitted)
     for _ in range(10):
         combo = SparsePoly.zero(n)
         for g in gens:
