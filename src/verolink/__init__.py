@@ -21,9 +21,8 @@ from .poly import (SparsePoly, all_characters, character_of_twisting,
 from .veronese import (Monomial, minor_vector, pair_count,
                        principal_minor_basis, veronese_matrix,
                        veronese_lattice_basis)
-from .verify import (DegreePiece, VerificationReport, colon_membership,
+from .verify import (VerificationReport, colon_membership,
                      group_algebra_subintersection, higher_torsion,
-                     ideal_degree_piece, subintersection_degree_piece,
                      verify_decomposition, verify_link)
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from itertools import groupby
 
 from .errors import (IndexOutOfRange, SizeCapExceeded, SizeMismatch,
@@ -21,7 +20,7 @@ from .fibers import enumerate_fiber, fiber_classes, hilbert_table
 from .link import saturated_fiber_poly, zonotope_poly
 from .poly import (SparsePoly, character_pairs, in_principal_minor_ideal,
                    in_twisted_veronese, parse_poly, render_poly, twist)
-from .veronese import (Monomial, column_position, pair, principal_minor_basis,
+from .veronese import (column_position, pair, principal_minor_basis,
                        variable_multisets, veronese_lattice_basis,
                        veronese_matrix)
 from .verify import (colon_membership, group_algebra_subintersection,
@@ -40,21 +39,6 @@ def poly_to_json(p: SparsePoly) -> list[dict]:
         exp = {"".join(str(i) for i in ms): e for ms, e in m.support()}
         out.append({"exp": exp, "coeff": str(c)})
     return out
-
-
-def poly_from_json(data, n: int | None = None) -> SparsePoly:
-    indices = [int(ch) for term in data for key in term["exp"] for ch in key]
-    if n is None:
-        n = max(indices, default=2)
-    terms: dict[Monomial, Fraction] = {}
-    for term in data:
-        exponents = {}
-        for key, e in term["exp"].items():
-            i, j = int(key[0]), int(key[1])
-            exponents[pair(i, j)] = exponents.get(pair(i, j), 0) + e
-        m = Monomial.from_pairs(n, exponents)
-        terms[m] = terms.get(m, 0) + Fraction(term["coeff"])
-    return SparsePoly(n, terms)
 
 
 # -- spec parsing -------------------------------------------------------
@@ -188,7 +172,9 @@ def cmd_pplus(args) -> int:
 def cmd_twist(args) -> int:
     signs = parse_sign_spec(args.signs)
     top = max((j for _, j in signs), default=0)
-    if args.n is not None and top > args.n:
+    # As in ``parse_poly``, an empty spec names no index; with -n below
+    # 1 the size guard then refuses the polynomial.
+    if signs and args.n is not None and top > args.n:
         raise SizeMismatch(f"sign index {top} exceeds n={args.n}")
     text = sys.stdin.read()
     p = parse_poly(text, args.n)

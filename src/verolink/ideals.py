@@ -88,30 +88,15 @@ def higher_veronese_gens(d: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def binomial_exponent_vector(g: SparsePoly) -> tuple[int, ...]:
-    """Signed exponent vector of a pure difference binomial.
-
-    Requires exactly two terms with coefficients +1 and -1; the result
-    is positive-term exponents minus negative-term exponents, dense in
-    column order.
-    """
-    terms = g.sorted_terms()
-    if len(terms) != 2 or {c for _, c in terms} != {1, -1}:
-        raise ValueError("not a pure difference binomial")
-    (m1, c1), (m2, _) = terms
-    plus, minus = (m1, m2) if c1 > 0 else (m2, m1)
-    return tuple(a - b for a, b in zip(plus.exps, minus.exps))
-
-
 def generator_lattice(vectors: list[tuple[int, ...]]) -> IntMatrix:
     """Columns: the signed exponent vectors of difference binomials, as
-    returned by ``higher_veronese_gens`` or ``binomial_exponent_vector``."""
+    returned by ``higher_veronese_gens``."""
     if not vectors:
         raise ValueError("empty generator list")
     return IntMatrix.from_columns(vectors, rows=len(vectors[0]))
 
 
 __all__ = [
-    "binomial_exponent_vector", "binomial_from_vector", "generator_lattice",
-    "higher_veronese_gens", "principal_minor_gens", "veronese_minor_gens",
+    "binomial_from_vector", "generator_lattice", "higher_veronese_gens",
+    "principal_minor_gens", "veronese_minor_gens",
 ]

@@ -6,12 +6,16 @@ fixed order (descending dense exponent tuples, which is ascending
 dictionary order on variable strings) so printed output is bit-stable
 and re-parseable under the grammar::
 
-    poly  := ["-"] term (("+" | "-") term)*
-    term  := [integer ["/" integer]] ["*"] var*
-    var   := "x" i j          (two juxtaposed digits, 1 <= i <= j <= 9)
+    poly  := [sign] term (sign term)*
+    sign  := "+" | "-"
+    term  := coeff | [coeff ["*"]] var (["*"] var)*
+    coeff := integer ["/" integer]
+    var   := "x" i j          (two digits from 1 to 9; x21 is x12)
 
 Exponents are written as repeated variables, e.g. ``x12*x12``;
-whitespace is insignificant.
+whitespace between tokens is ignored.  A third index digit (``x123``),
+a coefficient after a variable (``x11*3``) and a second sign
+(``x11 - -x22``) raise ValueError rather than read another polynomial.
 """
 
 from __future__ import annotations
@@ -88,13 +92,6 @@ class SparsePoly:
                 out[m] = out.get(m, 0) + c1 * c2
         return SparsePoly(self.n, out)
 
-    def scale(self, c) -> "SparsePoly":
-        c = Fraction(c)
-        return SparsePoly(self.n, {m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "SparsePoly":
-        return self.scale(c)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -121,14 +118,6 @@ def multidegree(p: SparsePoly) -> tuple[int, ...]:
     if len(degs) > 1:
         raise Inhomogeneous(f"terms of distinct multidegrees: {sorted(degs)}")
     return next(iter(degs))
-
-
-def degree_split(p: SparsePoly) -> dict[tuple[int, ...], SparsePoly]:
-    """Decompose into homogeneous components, keyed by multidegree."""
-    parts: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
-    for m, c in p.terms.items():
-        parts.setdefault(m.degree(), {})[m] = c
-    return {b: SparsePoly(p.n, t) for b, t in parts.items()}
 
 
 # -- twistings and sign characters, as bit masks ----------------------
@@ -297,7 +286,7 @@ def in_twisted_veronese(p: SparsePoly, mask: int) -> bool:
 
 # -- text grammar -------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(x\d\d|\d+|[+\-*/])")
+_TOKEN = re.compile(r"\s*(x\d{2,}|\d+|[+\-*/])")
 
 
 def render_poly(p: SparsePoly) -> str:
@@ -340,25 +329,27 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
         raise ValueError("empty polynomial text")
 
     raw_terms: list[tuple[int, Fraction | None, list[tuple[int, int]]]] = []
-    sign, coeff, vars_, num_open, has_den = 1, None, [], None, False
+    sign, signed, coeff, vars_ = 1, False, None, []
+    num_open, has_den = None, False
 
     def flush():
-        nonlocal sign, coeff, vars_, num_open, has_den
+        nonlocal sign, signed, coeff, vars_, num_open, has_den
         if num_open is not None:
             raise ValueError("dangling '/' in coefficient")
         if coeff is None and not vars_:
             raise ValueError("empty term")
         raw_terms.append((sign, coeff, vars_))
-        sign, coeff, vars_, has_den = 1, None, [], False
+        sign, signed, coeff, vars_, has_den = 1, False, None, [], False
 
-    started = False
     for tok in tokens:
         if tok in "+-":
-            if started and (coeff is not None or vars_):
+            if coeff is not None or vars_:
                 flush()
+            elif signed:
+                raise ValueError("two signs before one term")
             if tok == "-":
-                sign = -sign
-            started = True
+                sign = -1
+            signed = True
         elif tok == "*":
             if coeff is None and not vars_:
                 raise ValueError("misplaced '*'")
@@ -377,22 +368,22 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
                 num_open, has_den = None, True
             elif coeff is not None:
                 raise ValueError("two coefficients in one term")
+            elif vars_:
+                raise ValueError(f"coefficient {tok} after a variable")
             else:
                 coeff = Fraction(int(tok))
-            started = True
         else:  # variable
-            i, j = int(tok[1]), int(tok[2])
-            if i < 1 or j < 1:
+            if len(tok) > 3 or "0" in tok:
                 raise ValueError(f"bad variable {tok!r}")
-            vars_.append(pair(i, j))
-            started = True
+            vars_.append(pair(int(tok[1]), int(tok[2])))
     flush()
 
-    max_index = max((j for _, _, vs in raw_terms for _, j in vs), default=0)
+    # A constant names no index, so with n < 1 the size guard refuses it.
+    indices = [j for _, _, vs in raw_terms for _, j in vs]
     if n is None:
-        n = max(max_index, 2)
-    elif max_index > n:
-        raise SizeMismatch(f"variable index {max_index} exceeds n={n}")
+        n = max([2, *indices])
+    elif indices and max(indices) > n:
+        raise SizeMismatch(f"variable index {max(indices)} exceeds n={n}")
 
     terms: dict[Monomial, Fraction] = {}
     for s, c, vs in raw_terms:
@@ -407,8 +398,7 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
 __all__ = [
     "SparsePoly", "all_characters", "character_of_twisting",
     "character_pairs", "character_sign", "character_spec",
-    "character_value", "degree_split",
-    "in_principal_minor_ideal", "in_twisted_veronese", "multidegree",
-    "normal_form", "parse_poly", "render_poly", "twist",
+    "character_value", "in_principal_minor_ideal", "in_twisted_veronese",
+    "multidegree", "normal_form", "parse_poly", "render_poly", "twist",
     "twisting_from_character",
 ]

@@ -25,31 +25,14 @@ from operator import add, ge, or_, sub
 from .errors import IndexOutOfRange, SizeMismatch
 from .exactlin import (IntMatrix, clear_denominators, invariant_factors,
                        kernel_lattice, rational_nullspace, rational_rank)
-from .fibers import (_check_level, _fibers_of_sum, degrees_up_to,
-                     enumerate_fiber, minimal_saturated_fibers,
-                     off_diagonal_parities)
+from .fibers import (_check_level, _fibers_of_sum, _raw_fiber, degrees_up_to,
+                     minimal_saturated_fibers, off_diagonal_parities)
 from .ideals import (generator_lattice, higher_veronese_gens,
                      principal_minor_gens, veronese_minor_gens)
 from .link import link_generators
 from .poly import (SparsePoly, _check_mask, all_characters, character_sign,
                    character_spec, in_principal_minor_ideal, multidegree)
-from .veronese import Monomial, pair_count, veronese_matrix
-
-
-@dataclass(frozen=True)
-class DegreePiece:
-    """A subspace of the coefficient space of one fiber.
-
-    ``fiber`` fixes the coordinate order (lexicographic on exponent
-    tuples); the integer columns of ``vectors`` span the subspace.
-    """
-
-    degree: tuple[int, ...]
-    fiber: tuple[Monomial, ...]
-    vectors: IntMatrix
-
-    def dimension(self) -> int:
-        return rational_rank(self.vectors)
+from .veronese import pair_count, veronese_matrix
 
 
 def _prepared(gens: list[SparsePoly], n: int) -> list[tuple]:
@@ -86,16 +69,14 @@ def _columns(prepared: list[tuple], fiber: list[tuple[int, ...]]) -> IntMatrix:
     return IntMatrix.from_columns(columns, rows=len(fiber))
 
 
-def ideal_degree_piece(gens: list[SparsePoly], n: int, b) -> DegreePiece:
+def ideal_degree_piece(gens: list[SparsePoly], n: int, b) -> IntMatrix:
     """Degree-b piece of the ideal generated by homogeneous polynomials.
 
     Spanned by the products m*g over generators g and monomials m of the
-    complementary degree; expressed in the fiber coordinates of b.
+    complementary degree; its columns are in the coordinates of
+    ``_raw_fiber(2, n, b)``.
     """
-    b = tuple(b)
-    fiber = enumerate_fiber(n, b)
-    vectors = _columns(_prepared(gens, n), [m.exps for m in fiber])
-    return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
+    return _columns(_prepared(gens, n), _raw_fiber(2, n, tuple(b)))
 
 
 def _character_rows(n: int, fiber: list[tuple[int, ...]],
@@ -116,20 +97,18 @@ def _character_rows(n: int, fiber: list[tuple[int, ...]],
     return IntMatrix(rows, cols=len(fiber))
 
 
-def subintersection_degree_piece(n: int, omitted: int, b) -> DegreePiece:
+def subintersection_degree_piece(n: int, omitted: int, b) -> IntMatrix:
     """Degree-b piece of the intersection of all components but one.
 
     The piece is the common kernel of the character-weighted coefficient
-    sums over every sign character except the omitted one; the weights
-    are taken relative to the dictionary-least fiber point.
+    sums over every sign character except the omitted one, in the
+    coordinates of ``_raw_fiber(2, n, b)``; the weights are taken
+    relative to the largest fiber point.
     """
     _check_mask(omitted, pair_count(n - 1), "character")
-    b = tuple(b)
-    fiber = enumerate_fiber(n, b)
     masks = [m for m in all_characters(n) if m != omitted]
-    vectors = rational_nullspace(_character_rows(n, [m.exps for m in fiber],
-                                                 masks))
-    return DegreePiece(degree=b, fiber=tuple(fiber), vectors=vectors)
+    return rational_nullspace(_character_rows(n, _raw_fiber(2, n, tuple(b)),
+                                              masks))
 
 
 @dataclass(frozen=True)
@@ -431,7 +410,7 @@ def higher_torsion(d: int, n: int) -> list[int]:
 
 
 __all__ = [
-    "DegreePiece", "DegreeRecord", "VerificationReport", "colon_membership",
+    "DegreeRecord", "VerificationReport", "colon_membership",
     "group_algebra_subintersection", "higher_torsion", "ideal_degree_piece",
     "subintersection_degree_piece", "verify_decomposition", "verify_link",
 ]

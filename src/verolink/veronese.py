@@ -117,9 +117,6 @@ class Monomial:
             exps[pos[pair(i, j)]] += e
         return cls(n, tuple(exps))
 
-    def get(self, i: int, j: int) -> int:
-        return self.exps[column_position(2, self.n)[pair(i, j)]]
-
     def support(self):
         """Yield (multiset, exponent) over nonzero positions."""
         cols = variable_multisets(2, self.n)
@@ -137,18 +134,13 @@ class Monomial:
                     deg[row - 1] += mult * e
         return tuple(deg)
 
-    def total_degree(self) -> int:
-        return sum(self.exps)
-
     def is_one(self) -> bool:
         return all(e == 0 for e in self.exps)
 
-    def mul(self, other: "Monomial") -> "Monomial":
+    def __mul__(self, other: "Monomial") -> "Monomial":
         if self.n != other.n:
             raise IndexOutOfRange("monomials over different variable sets")
         return Monomial(self.n, tuple(map(add, self.exps, other.exps)))
-
-    __mul__ = mul
 
     def __str__(self):
         parts = []

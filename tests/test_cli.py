@@ -6,14 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import verolink
-from verolink.cli import main, poly_from_json, poly_to_json
+from verolink.cli import main, poly_to_json
 from verolink.link import saturated_fiber_poly, zonotope_poly
-from verolink.poly import parse_poly, render_poly
+from verolink.poly import SparsePoly, parse_poly, render_poly
+from verolink.veronese import Monomial
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -116,6 +118,18 @@ def test_only_the_variables_present_are_checked_against_n(capsys, monkeypatch,
         assert out == "" and "variable index 2 exceeds n=1" in err
 
 
+@pytest.mark.parametrize("argv", [["member", "--ideal", "jn"], ["colon"],
+                                  ["twist"]])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_a_constant_below_one_variable_meets_the_size_guard(capsys, monkeypatch,
+                                                            argv, n):
+    # A constant names no variable index, so none is reported.
+    code, out, err = run(capsys, argv + ["-n", n], stdin="3",
+                         monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert "n >= 1" in err and "index" not in err
+
+
 @pytest.mark.parametrize("eps", ["12:-", "12:+", ""])
 def test_member_of_jn_takes_no_character(capsys, monkeypatch, eps):
     # J_n has no sign character; an --eps given with it is not ignored.
@@ -156,6 +170,28 @@ def test_a_slash_outside_the_grammar_is_a_usage_error(capsys, monkeypatch,
     code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
     assert code == 2 and out == ""
     assert "'/'" in err
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INPUT_COMMANDS)
+@pytest.mark.parametrize("text, message", [
+    # An index is one digit: not 3*x12.
+    ("x123", "bad variable 'x123'"),
+    ("x11*x2211", "bad variable 'x2211'"),
+    # A coefficient comes before the variables: not 2*x11 or 3*x11.
+    ("x11 2", "coefficient 2 after a variable"),
+    ("x11*3", "coefficient 3 after a variable"),
+    ("x11*x22 - x12*x12 2", "coefficient 2 after a variable"),
+    # One sign per term: not x11 + x22 or -x11.
+    ("x11 - -x22", "two signs"),
+    ("x11*x22 - -x12*x12", "two signs"),
+    ("--x11", "two signs"),
+    ("+-x11", "two signs"),
+    ("x11 + + x22", "two signs")])
+def test_input_outside_the_grammar_is_a_usage_error(capsys, monkeypatch, argv,
+                                                    text, message):
+    code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_verify_link_cli(capsys):
@@ -281,7 +317,8 @@ def test_hilbert_with_no_variables_is_a_usage_error(capsys, n):
     (["twist", "-n", "0"], "x33 - x13*x13", "variable index 3 exceeds n=0"),
     (["twist", "-n", "2", "--signs", "13:-"], "x33 - x13*x13",
      "sign index 3 exceeds n=2"),
-    (["twist", "-n", "2", "--signs", "13:-"], "x12", "sign index 3 exceeds n=2")])
+    (["twist", "-n", "2", "--signs", "13:-"], "x12", "sign index 3 exceeds n=2"),
+    (["twist", "-n", "-1"], "x33 - x13*x13", "variable index 3 exceeds n=-1")])
 def test_twist_keeps_an_explicit_n(capsys, monkeypatch, argv, text, message):
     # As in member and colon, an index above -n is refused, not widened.
     code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
@@ -382,21 +419,32 @@ def test_bound_without_degrees_is_a_usage_error(capsys, command):
     assert "degree bound" in err
 
 
-def test_json_polynomial_round_trip(capsys):
-    code, out, _ = run(capsys, ["pplus", "-n", "4", "-i", "1", "--json"])
-    assert code == 0
-    data = json.loads(out)
-    assert poly_from_json(data, n=4) == saturated_fiber_poly(4, 1)
-    # Re-serializing the parsed polynomial reproduces the same JSON text.
-    again = json.dumps(poly_to_json(poly_from_json(data, n=4)),
-                       sort_keys=True)
-    assert again == json.dumps(data, sort_keys=True)
+def read_json_poly(data, n):
+    """The polynomial of a JSON term array, read without ``poly_to_json``."""
+    return SparsePoly(n, {
+        Monomial.from_pairs(n, {(int(k[0]), int(k[1])): e
+                                for k, e in term["exp"].items()}):
+        Fraction(term["coeff"]) for term in data})
 
 
-def test_json_terms_accumulate_into_one_polynomial():
-    data = [{"exp": {"11": 1}, "coeff": "1"}, {"exp": {"12": 2}, "coeff": "1/2"},
-            {"exp": {"11": 1}, "coeff": "-1"}, {"exp": {"12": 2}, "coeff": "1/2"}]
-    assert poly_from_json(data, n=2) == parse_poly("x12*x12", n=2)
+def test_json_polynomial_round_trip(capsys, monkeypatch):
+    # Unit coefficients and exponents from pplus; fractions, signs and
+    # squares from twist.
+    text = "-2/3*x11*x11*x23 + 5*x12*x13*x13 - 7/2*x22*x33*x33"
+    for argv, stdin, expected in (
+            (["pplus", "-n", "4", "-i", "1"], None, saturated_fiber_poly(4, 1)),
+            (["twist", "-n", "3", "--signs", "12:-"], text,
+             parse_poly("-2/3*x11*x11*x23 - 5*x12*x13*x13"
+                        " - 7/2*x22*x33*x33", n=3))):
+        code, out, _ = run(capsys, argv + ["--json"], stdin=stdin,
+                           monkeypatch=monkeypatch)
+        assert code == 0
+        data = json.loads(out)
+        assert read_json_poly(data, expected.n) == expected
+        # Re-serializing the polynomial read reproduces the same JSON text.
+        again = json.dumps(poly_to_json(read_json_poly(data, expected.n)),
+                           sort_keys=True)
+        assert again == json.dumps(data, sort_keys=True)
 
 
 def test_json_modes_parse(capsys):

@@ -1,10 +1,7 @@
 """Unit tests for the generator sets."""
 
-import pytest
-
-from verolink.ideals import (binomial_exponent_vector, generator_lattice,
-                             higher_veronese_gens, principal_minor_gens,
-                             veronese_minor_gens)
+from verolink.ideals import (generator_lattice, higher_veronese_gens,
+                             principal_minor_gens, veronese_minor_gens)
 from verolink.poly import multidegree, parse_poly
 from verolink.veronese import (Monomial, minor_vector, pair_count,
                                variable_multisets, veronese_matrix)
@@ -89,7 +86,10 @@ def test_veronese_minor_gens_brute_force_n4():
 def test_minor_exponent_vectors_match_brackets():
     for n in (3, 4):
         for g in principal_minor_gens(n):
-            vec = binomial_exponent_vector(g)
+            # A pure difference binomial x^plus - x^minus.
+            assert sorted(g.terms.values()) == [-1, 1]
+            plus, minus = sorted(g.terms, key=g.terms.get, reverse=True)
+            vec = tuple(a - b for a, b in zip(plus.exps, minus.exps))
             b = multidegree(g)
             pair_ij = [idx + 1 for idx, x in enumerate(b) if x == 2]
             i, j = pair_ij
@@ -103,7 +103,8 @@ def test_higher_gens_weight2_matches_principal_lattice():
     for n in (2, 3, 4):
         higher = generator_lattice(higher_veronese_gens(2, n))
         principal = generator_lattice(
-            [binomial_exponent_vector(g) for g in principal_minor_gens(n)])
+            [minor_vector(i, j, i, j, n)
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)])
         assert column_lattice_basis(higher).columns() \
             == column_lattice_basis(principal).columns()
 
@@ -127,8 +128,3 @@ def test_higher_gens_count_d3_n4():
     V = veronese_matrix(3, 4)
     for vec in gens:
         assert V.mul_vector(vec) == (0, 0, 0, 0)
-
-
-def test_binomial_vector_rejects_non_binomials():
-    with pytest.raises(ValueError):
-        binomial_exponent_vector(parse_poly("x11*x22 + x12*x12", n=2))
