@@ -510,6 +510,10 @@ RECORD_STREAM_DIGESTS = {
         "5df76b72015fe2af4a39b6289ecf84594b13b05536c4d35e7c5d7c361dddb416",
     "torsion --json -d 3 -n 5":
         "472026bc8b0e55d4629f504f2f5ef8663043463285d2785f4ee36a8f1410b32b",
+    "verify-decomp -n 8 --bound 4":
+        "087761396156f2a3f7427134400b5ead1e6b617c6327cb9dec763b3abcebd03f",
+    "verify-link -n 8 --bound 4 --omit 12:-":
+        "087761396156f2a3f7427134400b5ead1e6b617c6327cb9dec763b3abcebd03f",
 }
 
 
