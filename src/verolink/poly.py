@@ -341,7 +341,11 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
         raw_terms.append((sign, coeff, vars_))
         sign, signed, coeff, vars_, has_den = 1, False, None, [], False
 
+    star = False  # a '*' needs a variable after it; a digit fails below
     for tok in tokens:
+        if star and tok in "+-*/":
+            raise ValueError("'*' without a variable after it")
+        star = tok == "*"
         if tok in "+-":
             if coeff is not None or vars_:
                 flush()
@@ -376,6 +380,8 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
             if len(tok) > 3 or "0" in tok:
                 raise ValueError(f"bad variable {tok!r}")
             vars_.append(pair(int(tok[1]), int(tok[2])))
+    if star:
+        raise ValueError("'*' without a variable after it")
     flush()
 
     # A constant names no index, so with n < 1 the size guard refuses it.

@@ -9,16 +9,18 @@ coefficient sums.  Generators are scaled to integer coefficients and
 character values are +-1, so every matrix here is an integer one.  A
 span lies in a common kernel when one exact integer product vanishes,
 and equality then follows from a dimension count, each one a rank.
-``_decide_degree`` finds those ranks and that product on class data;
-the subspaces over the fiber points (``ideal_degree_piece``,
-``subintersection_degree_piece``) are the tests' oracle.
+The decomposition takes every sign character and the subintersection
+every one but the omitted one, so the check is given that omitted
+character, or None, never a list of masks.  ``_decide_degree`` finds
+the ranks and the product on class data; the subspaces over the fiber
+points (``ideal_degree_piece``, ``subintersection_degree_piece``) are
+the tests' oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import groupby
 from operator import add, ge, or_, sub
 
@@ -177,40 +179,25 @@ def _split_edges(prepared: list[tuple]) -> tuple[list[tuple], list[tuple]]:
     return edges, others
 
 
-def _walsh_rank(diffs: set[int], restricted: set[int], varying: int) -> int:
-    """Rank of the +-1 rows (-1)^popcount(m & d), m in ``restricted``,
-    on the columns d in ``diffs``; both are sets of masks inside the
-    ``varying`` bits.
-
-    Over all 2^v masks of v bits these rows form a Hadamard matrix, so
-    any set of its columns is independent.  Without one row m*, the only
-    dependency among all columns is the row of m* itself, which has no
-    zero entry, so it needs every column.  Other cases are eliminated."""
-    full = 1 << varying.bit_count()
-    if len(restricted) == full:
-        return len(diffs)
-    if len(restricted) == full - 1:
-        return len(diffs) - (len(diffs) == full)
-    cols = sorted(diffs)
-    return rational_rank(IntMatrix(
-        [[character_sign(m, d) for d in cols]
-         for m in sorted(restricted)], cols=len(cols)))
+def _character_rank(distinct: int, full: int, omitted: int | None) -> int:
+    """Rank of the characters but the ``omitted`` one (of all when it is
+    None) on ``distinct`` of the ``full`` = 2^B parity diffs."""
+    return distinct - (omitted is not None and distinct == full)
 
 
-def _restrictor(masks: Sequence[int]):
-    """The set {m & varying} over the character masks, as a function of
-    ``varying`` that computes it once per distinct value."""
-    @cache
-    def restrict(varying: int) -> frozenset[int]:
-        return frozenset(m & varying for m in masks)
-    return restrict
+def _killed(sums: dict[int, int], full: int, omitted: int | None) -> bool:
+    """Whether the characters but the ``omitted`` one (all when it is
+    None) kill a column with these coefficient sums per parity diff."""
+    c = {d: x for d, x in sums.items() if x}
+    return not c or (omitted is not None and len(c) == full and len(
+        {x * character_sign(omitted, d) for d, x in c.items()}) == 1)
 
 
 def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
-                   edges: list[tuple], others: list[tuple], restrict
+                   edges: list[tuple], others: list[tuple], omitted: int | None
                    ) -> DegreeRecord:
     """One degree of ``_check_degrees``, decided on class data, given its
-    fiber as ``_raw_fiber`` gives it and ``_restrictor`` of the masks.
+    fiber as ``_raw_fiber`` gives it.
 
     The same ranks and product as the fiber route of ``_columns`` and
     ``_character_rows``, which stays as the tests' oracle:
@@ -219,9 +206,20 @@ def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
       the coordinates of each component, so the other columns add the
       rank of their component sums;
     - a character row depends on a point only through its parity diff,
-      so its rank is ``_walsh_rank`` on the distinct diffs;
-    - the characters kill an edge when they agree on its two ends, and
-      another column when they kill its sums per parity diff."""
+      so the rows are Walsh functions on the distinct diffs D inside
+      (Z/2)^B, B = pair_count(n - 1), and a column acts through its
+      sums c per diff (an edge e_p - e_q is {d_p: 1, d_q: -1}).
+
+    All 2^B Walsh functions form an invertible Hadamard matrix, so with
+    every character (``omitted`` None) the rank is |D| and only c = 0 is
+    killed.  Without the omitted row, a dependency among its columns is a
+    c whose Walsh transform is a point mass at the omitted mask: c is a
+    nonzero multiple of the omitted character, which has no zero entry.
+    So the rank is |D| - 1 when D is all 2^B diffs and |D| otherwise,
+    and c is killed when it is zero or covers all 2^B diffs with
+    c[d] * character_sign(omitted, d) the same for every d.  A fiber
+    whose diffs vary over fewer than B bits never covers the group; on
+    it, every character agrees with a present one."""
     if not fiber:
         return DegreeRecord(degree=b, fiber_size=0, ideal_dim=0,
                             target_dim=0, equal=True)
@@ -237,16 +235,18 @@ def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
     # Relative to the largest point, as in ``_character_rows``.
     base = off_diagonal_parities(fiber[-1], n)
     diff = [off_diagonal_parities(p, n) ^ base for p in fiber]
-    edge_diffs = set()
+    edge_ends = set()
     for support, du in edges:
         for k, p in enumerate(fiber):
             if all(p[i] >= v for i, v in support):
                 j = index[tuple(map(add, p, du))]
-                edge_diffs.add(diff[k] ^ diff[j])
+                if diff[k] != diff[j]:
+                    edge_ends.add((diff[k], diff[j]))
                 parent[find(j)] = find(k)
     roots = {}
     component = [roots.setdefault(find(k), len(roots)) for k in range(len(fiber))]
-    sums, class_sums = [], []
+    sums = []
+    diff_sums = [{d: 1, e: -1} for d, e in edge_ends]
     for u0, offsets in others:
         for p in fiber:
             if all(map(ge, p, u0)):
@@ -256,42 +256,35 @@ def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
                     vec[component[k]] += c
                     by_diff[diff[k]] = by_diff.get(diff[k], 0) + c
                 sums.append(vec)
-                class_sums.append(by_diff)
+                diff_sums.append(by_diff)
     extra = rational_rank(IntMatrix.from_columns(sums)) if sums else 0
     di = len(fiber) - len(roots) + extra
 
-    varying = reduce(or_, diff)
-    restricted = restrict(varying)
-    dt = len(fiber) - _walsh_rank(set(diff), restricted, varying)
-
-    equal = (di == dt
-             and all(character_sign(m, e) == 1
-                     for e in edge_diffs for m in restricted)
-             and not any(sum(character_sign(m, d) * c
-                             for d, c in by_diff.items())
-                         for by_diff in class_sums for m in restricted))
+    full = 1 << pair_count(n - 1)
+    dt = len(fiber) - _character_rank(len(set(diff)), full, omitted)
+    equal = di == dt and all(_killed(c, full, omitted) for c in diff_sums)
     return DegreeRecord(degree=b, fiber_size=len(fiber), ideal_dim=di,
                         target_dim=dt, equal=equal)
 
 
-def _check_degrees(n: int, gens: list[SparsePoly], masks: Sequence[int],
+def _check_degrees(n: int, gens: list[SparsePoly], omitted: int | None,
                    bound: int) -> tuple[DegreeRecord, ...]:
     """Per degree up to the bound, whether the generators span the common
-    kernel of the characters, given by their ``mask``: the characters
-    annihilate the span, which has the kernel's dimension.  The fibers
-    come one coordinate sum at a time from ``_fibers_of_sum``.  A
-    negative bound raises ValueError."""
+    kernel of every sign character but the ``omitted`` one (of every
+    character when it is None): the characters annihilate the span,
+    which has the kernel's dimension.  The fibers come one coordinate
+    sum at a time from ``_fibers_of_sum``.  A negative bound raises
+    ValueError."""
     if bound < 0:
         raise ValueError("a negative degree bound leaves no degree to check")
     # The largest level first, so that a run past the size cap stops at once.
     _check_level(n, bound - bound % 2)
     edges, others = _split_edges(_prepared(gens, n))
-    restrict = _restrictor(masks)
     records = []
     for s, level in groupby(degrees_up_to(n, bound), key=sum):
         fibers = _fibers_of_sum(n, s)
         records += [_decide_degree(b, n, fibers[b], edges, others,
-                                   restrict) for b in level]
+                                   omitted) for b in level]
     return tuple(records)
 
 
@@ -311,8 +304,7 @@ def verify_link(n: int, omitted: int, total_degree_bound: int
         gens = principal_minor_gens(n)
     else:
         gens = link_generators(n, omitted)
-    masks = [m for m in range(1 << pair_count(n - 1)) if m != omitted]
-    records = _check_degrees(n, gens, masks, total_degree_bound)
+    records = _check_degrees(n, gens, omitted, total_degree_bound)
     return VerificationReport(n=n, degree_bound=total_degree_bound, kind="link",
                               omitted=omitted, records=records)
 
@@ -325,8 +317,8 @@ def verify_decomposition(n: int, total_degree_bound: int) -> VerificationReport:
     the principal 2-minors must equal the common kernel of all character
     functionals.  A negative bound raises ValueError.
     """
-    records = _check_degrees(n, principal_minor_gens(n),
-                             range(1 << pair_count(n - 1)), total_degree_bound)
+    records = _check_degrees(n, principal_minor_gens(n), None,
+                             total_degree_bound)
     return VerificationReport(n=n, degree_bound=total_degree_bound,
                               kind="decomposition", omitted=None,
                               records=records)
@@ -362,9 +354,6 @@ def group_algebra_subintersection(k: int) -> bool:
     # product is XOR and the order is that of the coordinate tuples.
     size = 1 << k
 
-    def char(s: int, g: int) -> int:
-        return -1 if (s & g).bit_count() & 1 else 1
-
     def convolve(a: list[int], b: list[int]) -> list[int]:
         out = [0] * size
         for g, ca in enumerate(a):
@@ -381,10 +370,10 @@ def group_algebra_subintersection(k: int) -> bool:
         for i in range(k):
             e = 1 << i
             factor = [0] * size
-            factor[0], factor[e] = 1, char(s_star, e)
+            factor[0], factor[e] = 1, character_sign(s_star, e)
             q = convolve(q, factor)
 
-        chars = IntMatrix([[char(s, g) for g in range(size)]
+        chars = IntMatrix([[character_sign(s, g) for g in range(size)]
                            for s in range(size) if s != s_star], cols=size)
         translates = IntMatrix([[q[g ^ h] for h in range(size)]
                                 for g in range(size)], cols=size)

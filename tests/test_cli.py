@@ -186,7 +186,12 @@ def test_a_slash_outside_the_grammar_is_a_usage_error(capsys, monkeypatch,
     ("x11*x22 - -x12*x12", "two signs"),
     ("--x11", "two signs"),
     ("+-x11", "two signs"),
-    ("x11 + + x22", "two signs")])
+    ("x11 + + x22", "two signs"),
+    # A '*' joins a coefficient or variable to the next variable.
+    ("x11* - x22", "'*' without a variable after it"),
+    ("2*", "'*' without a variable after it"),
+    ("x11**x22", "'*' without a variable after it"),
+    ("x11*x22*", "'*' without a variable after it")])
 def test_input_outside_the_grammar_is_a_usage_error(capsys, monkeypatch, argv,
                                                     text, message):
     code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)

@@ -143,7 +143,8 @@ def walsh_sign(s, g):
 @pytest.mark.parametrize("k, dropped", [(k, s) for k in range(2, 6)
                                         for s in range(1 << k)])
 def test_walsh_rows_with_one_row_dropped(k, dropped):
-    # The +-1 character matrices of laurent-check and _walsh_rank.
+    # The +-1 character matrices of laurent-check and of the target-rank
+    # formula in verify._character_rank.
     size = 1 << k
     check_rank_rref_nullspace(IntMatrix(
         [[walsh_sign(s, g) for g in range(size)]
