@@ -1,9 +1,7 @@
 """Exact lattice, fiber, and link-polynomial computations for the second
 Veronese ideal and its principal-minor complete intersection."""
 
-from .errors import (DegreeMismatch, IndexNotFinite, IndexOutOfRange,
-                     Inhomogeneous, NotOdd, SizeCapExceeded, SizeMismatch,
-                     VerolinkError, ZeroPolynomial)
+from .errors import SizeCapExceeded
 from .exactlin import (IntMatrix, hermite_normal_form, invariant_factors,
                        kernel_lattice, rational_nullspace, rational_rank,
                        same_column_space, smith_normal_form)

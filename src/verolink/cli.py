@@ -2,20 +2,21 @@
 
 Exit codes: 0 on success or a verified/affirmative result, 1 when a
 verification or membership check comes back negative, 2 on usage or
-input errors, 3 when an enumeration hits the size cap.  The environment
-variable VLAB_SIZE_CAP, a non-negative integer, is that cap for every
-command and for the library alike.
+input errors (a ``ValueError``), 3 when an enumeration hits the size cap
+(``SizeCapExceeded``).  Either way stderr is ``error: <message>``.  The
+environment variable VLAB_SIZE_CAP, a non-negative integer, is that cap
+for every command and for the library alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from itertools import groupby
 
-from .errors import (IndexOutOfRange, SizeCapExceeded, SizeMismatch,
-                     VerolinkError)
+from .errors import SizeCapExceeded
 from .fibers import enumerate_fiber, fiber_classes, hilbert_table
 from .link import saturated_fiber_poly, zonotope_poly
 from .poly import (SparsePoly, character_pairs, in_principal_minor_ideal,
@@ -28,6 +29,7 @@ from .verify import (colon_membership, group_algebra_subintersection,
 
 USAGE_ERROR = 2
 SIZE_CAP_ERROR = 3
+_DEGREE_ENTRY = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 # -- JSON polynomial schema --------------------------------------------
@@ -74,16 +76,18 @@ def parse_character(spec: str | None, n: int) -> int:
     mask = 0
     for p, s in parse_sign_spec(spec or "").items():
         if p not in index:
-            raise SizeMismatch(f"pair {p} is not an off-diagonal pair of [n-1]")
+            raise ValueError(f"pair {p} is not an off-diagonal pair of [n-1]")
         mask |= (s < 0) << index[p]
     return mask
 
 
 def parse_degree(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
+    """Comma-separated ASCII integers; ``int`` alone would also take
+    ``1_0`` and non-ASCII digits."""
+    entries = text.split(",")
+    if not all(_DEGREE_ENTRY.fullmatch(x) for x in entries):
         raise ValueError(f"bad degree {text!r}; expected comma-separated integers")
+    return tuple(map(int, entries))
 
 
 def _emit(args, payload, text_lines) -> None:
@@ -175,7 +179,7 @@ def cmd_twist(args) -> int:
     # As in ``parse_poly``, an empty spec names no index; with -n below
     # 1 the size guard then refuses the polynomial.
     if signs and args.n is not None and top > args.n:
-        raise SizeMismatch(f"sign index {top} exceeds n={args.n}")
+        raise ValueError(f"sign index {top} exceeds n={args.n}")
     text = sys.stdin.read()
     p = parse_poly(text, args.n)
     if top > p.n:
@@ -210,7 +214,7 @@ def cmd_colon(args) -> int:
 def cmd_verify_link(args) -> int:
     # Before the character, which needs n >= 1.
     if args.n < 3:
-        raise IndexOutOfRange("need n >= 3")
+        raise ValueError("need n >= 3")
     omitted = parse_character(args.omit, args.n)
     report = verify_link(args.n, omitted, args.bound)
     _emit(args, report.to_json_dict(), report.to_lines())
@@ -327,7 +331,7 @@ def main(argv=None) -> int:
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SIZE_CAP_ERROR
-    except (VerolinkError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

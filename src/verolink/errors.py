@@ -1,37 +1,10 @@
-"""Exception types shared across the package."""
+"""The one exception type of the package.
+
+Bad input, to the library and the CLI alike, raises ``ValueError``.  A
+size stop is not bad input, so ``SizeCapExceeded`` is a plain
+``Exception``: an ``except ValueError`` never swallows it.
+"""
 
 
-class VerolinkError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class SizeCapExceeded(VerolinkError):
+class SizeCapExceeded(Exception):
     """An enumeration grew past the configured size cap."""
-
-
-class SizeMismatch(VerolinkError):
-    """Operands live over different variable sets."""
-
-
-class IndexNotFinite(VerolinkError):
-    """A sublattice does not have finite index in its ambient lattice."""
-
-
-class Inhomogeneous(VerolinkError):
-    """A polynomial mixes terms of different multidegrees."""
-
-
-class ZeroPolynomial(VerolinkError):
-    """The zero polynomial has no multidegree."""
-
-
-class DegreeMismatch(VerolinkError):
-    """Two monomials were expected to share a multidegree but do not."""
-
-
-class NotOdd(VerolinkError):
-    """An operation defined only for odd matrix sizes received an even one."""
-
-
-class IndexOutOfRange(VerolinkError):
-    """A coordinate index falls outside its allowed range."""

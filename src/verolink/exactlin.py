@@ -30,8 +30,6 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 
-from .errors import IndexNotFinite, SizeMismatch
-
 
 class IntMatrix:
     """Dense integer matrix with exact arithmetic.
@@ -84,13 +82,13 @@ class IntMatrix:
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
-            raise SizeMismatch("row counts differ")
+            raise ValueError("row counts differ")
         return IntMatrix([self.data[i] + other.data[i] for i in range(self.rows)],
                          cols=self.cols + other.cols)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
-            raise SizeMismatch("inner dimensions differ")
+            raise ValueError("inner dimensions differ")
         ot = other.transpose().data
         return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
                           for row in self.data], cols=other.cols)
@@ -99,7 +97,7 @@ class IntMatrix:
 
     def mul_vector(self, v) -> tuple[int, ...]:
         if self.cols != len(v):
-            raise SizeMismatch("vector length differs from column count")
+            raise ValueError("vector length differs from column count")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
 
     def is_zero(self) -> bool:
@@ -265,7 +263,7 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def det(M: IntMatrix) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     if M.rows != M.cols:
-        raise SizeMismatch("determinant needs a square matrix")
+        raise ValueError("determinant needs a square matrix")
     n = M.rows
     if n == 0:
         return 1
@@ -349,7 +347,7 @@ def invariant_factors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
     if sub.cols == 0:
         if basis.cols == 0:
             return []
-        raise IndexNotFinite("empty sublattice in a positive-rank lattice")
+        raise ValueError("empty sublattice in a positive-rank lattice")
     pivoted = [(next(i for i, x in enumerate(b) if x), b) for b in basis.columns()]
     coords = []
     for v in sub.columns():
@@ -367,7 +365,7 @@ def invariant_factors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
     _, S, _ = smith_normal_form(IntMatrix.from_columns(coords, rows=basis.cols))
     factors = [d for d in S.diagonal() if d]
     if len(factors) < basis.cols:
-        raise IndexNotFinite("sublattice has lower rank than the ambient lattice")
+        raise ValueError("sublattice has lower rank than the ambient lattice")
     return [d for d in factors if d > 1]
 
 
@@ -432,7 +430,7 @@ def rational_nullspace(M: IntMatrix) -> IntMatrix:
 def same_column_space(A: IntMatrix, B: IntMatrix) -> bool:
     """Exact subspace equality via double-containment rank checks."""
     if A.rows != B.rows:
-        raise SizeMismatch("ambient dimensions differ")
+        raise ValueError("ambient dimensions differ")
     ra = rational_rank(A)
     rb = rational_rank(B)
     if ra != rb:
@@ -443,5 +441,5 @@ def same_column_space(A: IntMatrix, B: IntMatrix) -> bool:
 def contains_column_space(A: IntMatrix, B: IntMatrix) -> bool:
     """True when the column space of A contains the column space of B."""
     if A.rows != B.rows:
-        raise SizeMismatch("ambient dimensions differ")
+        raise ValueError("ambient dimensions differ")
     return rational_rank(A.hstack(B)) == rational_rank(A)

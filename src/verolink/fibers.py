@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
-from .errors import IndexOutOfRange, SizeCapExceeded, SizeMismatch
+from .errors import SizeCapExceeded
 from .veronese import (Monomial, check_size, column_position, column_supports,
                        minor_vector, variable_multisets)
 
@@ -74,7 +74,7 @@ def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
     check_size(d, n)
     limit = size_cap()
     if len(b) != n:
-        raise SizeMismatch("degree length differs from n")
+        raise ValueError("degree length differs from n")
     if any(x < 0 for x in b):
         return []
     if sum(b) % d:
@@ -189,7 +189,7 @@ def _class_maxima(n: int, b: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     check_size(2, n)
     limit = size_cap()
     if len(b) != n:
-        raise SizeMismatch("degree length differs from n")
+        raise ValueError("degree length differs from n")
     if any(x < 0 for x in b) or sum(b) % 2:
         return {}
     supports, finishing = _fiber_plan(2, n)
@@ -294,7 +294,7 @@ def minimal_saturated_fibers(n: int) -> list[tuple[int, ...]]:
     the single minimal degree.
     """
     if n < 3:
-        raise IndexOutOfRange("need n >= 3")
+        raise ValueError("need n >= 3")
     base = [n - 2] * n
     if n % 2 == 0:
         return [tuple(base)]
@@ -316,7 +316,7 @@ def connectivity_classes(n: int, b, moves: list[tuple[int, ...]]
     """
     size = len(variable_multisets(2, n))
     if any(len(m) != size for m in moves):
-        raise SizeMismatch("move over a different variable set")
+        raise ValueError("move over a different variable set")
     raw = _raw_fiber(2, n, tuple(b))
     index = {exps: k for k, exps in enumerate(raw)}
     parent = list(range(len(raw)))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .errors import IndexOutOfRange
 from .exactlin import IntMatrix
 from .poly import SparsePoly
 from .veronese import (Monomial, check_size, column_position, minor_vector,
@@ -24,7 +23,7 @@ def principal_minor_gens(n: int) -> list[SparsePoly]:
     homogeneous of multidegree 2e_i + 2e_j.
     """
     if n < 2:
-        raise IndexOutOfRange("need n >= 2")
+        raise ValueError("need n >= 2")
     check_size(2, n)
     return [binomial_from_vector(n, minor_vector(i, j, i, j, n))
             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -39,7 +38,7 @@ def veronese_minor_gens(n: int) -> list[SparsePoly]:
     second Veronese ideal.
     """
     if n < 2:
-        raise IndexOutOfRange("need n >= 2")
+        raise ValueError("need n >= 2")
     check_size(2, n)
     seen = set()
     out = []
@@ -71,7 +70,7 @@ def higher_veronese_gens(d: int, n: int) -> list[tuple[int, ...]]:
     ``variable_multisets(d, n)``.  The count is the column count minus n.
     """
     if d < 2 or n < 2:
-        raise IndexOutOfRange("need d >= 2 and n >= 2")
+        raise ValueError("need d >= 2 and n >= 2")
     check_size(d, n)
     cols = variable_multisets(d, n)
     pos = column_position(d, n)

@@ -10,7 +10,6 @@ builds those polynomials and checks the identities relating them.
 
 from __future__ import annotations
 
-from .errors import IndexOutOfRange, NotOdd
 from .fibers import _class_maxima, minimal_saturated_fibers
 from .ideals import principal_minor_gens
 from .poly import SparsePoly, normal_form, twist, twisting_from_character
@@ -26,7 +25,7 @@ def zonotope_poly(n: int) -> SparsePoly:
     the off-diagonal entries of a term identify its factor choices.
     """
     if n < 3:
-        raise IndexOutOfRange("need n >= 3")
+        raise ValueError("need n >= 3")
     result = SparsePoly.constant(n, 1)
     for i in range(1, n):
         for j in range(i + 1, n):
@@ -43,7 +42,7 @@ def saturation_exponent(n: int) -> int:
     zonotope polynomial sits from the minimal saturated fiber.
     """
     if n < 3:
-        raise IndexOutOfRange("need n >= 3")
+        raise ValueError("need n >= 3")
     return pair_count(n - 1) - (n - 1) // 2
 
 
@@ -57,15 +56,15 @@ def saturated_fiber_poly(n: int, i: int) -> SparsePoly:
     class search of ``_class_maxima``, not from the whole fiber.
     """
     if n < 3:
-        raise IndexOutOfRange("need n >= 3")
+        raise ValueError("need n >= 3")
     degrees = minimal_saturated_fibers(n)
     if n % 2 == 0:
         if i != 1:
-            raise IndexOutOfRange("even sizes have a single minimal fiber, i = 1")
+            raise ValueError("even sizes have a single minimal fiber, i = 1")
         b = degrees[0]
     else:
         if not 1 <= i <= n:
-            raise IndexOutOfRange(f"index {i} outside [1, {n}]")
+            raise ValueError(f"index {i} outside [1, {n}]")
         b = degrees[i - 1]
     return SparsePoly(n, {Monomial(n, e): 1 for e in _class_maxima(n, b).values()})
 
@@ -79,7 +78,7 @@ def check_saturation_identity(n: int) -> bool:
     fiber polynomial equals x_in times it, for every i.
     """
     if n < 3:
-        raise IndexOutOfRange("need n >= 3")
+        raise ValueError("need n >= 3")
     s = saturation_exponent(n)
     zono = zonotope_poly(n)
     if n % 2 == 0:
@@ -101,12 +100,12 @@ def check_syzygy(n: int, i: int, j: int, k: int) -> bool:
     ideal; defined for odd n and distinct indices.
     """
     if n % 2 == 0:
-        raise NotOdd("the syzygy relations need odd n")
+        raise ValueError("the syzygy relations need odd n")
     if len({i, j, k}) != 3:
-        raise IndexOutOfRange("indices must be pairwise distinct")
+        raise ValueError("indices must be pairwise distinct")
     for idx in (i, j, k):
         if not 1 <= idx <= n:
-            raise IndexOutOfRange(f"index {idx} outside [1, {n}]")
+            raise ValueError(f"index {idx} outside [1, {n}]")
     lhs = SparsePoly.variable(n, i, j) * saturated_fiber_poly(n, k)
     rhs = SparsePoly.variable(n, j, k) * saturated_fiber_poly(n, i)
     return normal_form(lhs) == normal_form(rhs)
@@ -120,7 +119,7 @@ def link_generators(n: int, omitted: int) -> list[SparsePoly]:
     automorphism realizing the omitted character.
     """
     if n < 3:
-        raise IndexOutOfRange("need n >= 3")
+        raise ValueError("need n >= 3")
     flips = twisting_from_character(n, omitted)
     indices = range(1, n + 1) if n % 2 else (1,)
     return principal_minor_gens(n) + [twist(saturated_fiber_poly(n, i), flips)

@@ -13,9 +13,11 @@ and re-parseable under the grammar::
     var   := "x" i j          (two digits from 1 to 9; x21 is x12)
 
 Exponents are written as repeated variables, e.g. ``x12*x12``;
-whitespace between tokens is ignored.  A third index digit (``x123``),
-a coefficient after a variable (``x11*3``) and a second sign
-(``x11 - -x22``) raise ValueError rather than read another polynomial.
+whitespace between tokens is ignored, and a coefficient with its ``/``
+is one token.  A third index digit (``x123``), a coefficient after a
+variable (``x11*3``), a second sign (``x11 - -x22``), a ``/`` outside a
+coefficient (``1/x12 2``) and a non-ASCII digit raise ValueError rather
+than read another polynomial.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import (DegreeMismatch, Inhomogeneous, SizeMismatch,
-                     ZeroPolynomial)
 from .fibers import class_key, off_diagonal_parities
 from .veronese import (Monomial, column_position, pair, pair_count,
                        variable_multisets)
@@ -40,7 +40,7 @@ class SparsePoly:
         clean: dict[Monomial, Fraction] = {}
         for m, c in (terms or {}).items():
             if m.n != n:
-                raise SizeMismatch("term over a different variable set")
+                raise ValueError("term over a different variable set")
             c = Fraction(c)
             if c:
                 clean[m] = c
@@ -68,7 +68,7 @@ class SparsePoly:
 
     def _check(self, other: "SparsePoly") -> None:
         if self.n != other.n:
-            raise SizeMismatch("polynomials over different variable sets")
+            raise ValueError("polynomials over different variable sets")
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check(other)
@@ -113,10 +113,10 @@ class SparsePoly:
 def multidegree(p: SparsePoly) -> tuple[int, ...]:
     """The common multidegree of all terms of a homogeneous polynomial."""
     if p.is_zero():
-        raise ZeroPolynomial("the zero polynomial has no multidegree")
+        raise ValueError("the zero polynomial has no multidegree")
     degs = {m.degree() for m in p.terms}
     if len(degs) > 1:
-        raise Inhomogeneous(f"terms of distinct multidegrees: {sorted(degs)}")
+        raise ValueError(f"terms of distinct multidegrees: {sorted(degs)}")
     return next(iter(degs))
 
 
@@ -132,7 +132,7 @@ def _check_mask(mask: int, bits: int, kind: str) -> None:
     """Refuse a negative mask or one with a bit past its ``bits``
     coordinates, rather than truncate it."""
     if not 0 <= mask < 1 << bits:
-        raise SizeMismatch(f"{kind} over a different variable set")
+        raise ValueError(f"{kind} over a different variable set")
 
 
 def twist(p: SparsePoly, flips: int) -> SparsePoly:
@@ -217,10 +217,10 @@ def character_value(mask: int, u: Monomial, u0: Monomial) -> int:
     the difference in the kernel-lattice basis.
     """
     if u0.n != u.n:
-        raise SizeMismatch("character over a different variable set")
+        raise ValueError("character over a different variable set")
     _check_mask(mask, pair_count(u.n - 1), "character")
     if u.degree() != u0.degree():
-        raise DegreeMismatch("monomials lie in different fibers")
+        raise ValueError("monomials lie in different fibers")
     diff = (off_diagonal_parities(u.exps, u.n)
             ^ off_diagonal_parities(u0.exps, u.n))
     return character_sign(mask, diff)
@@ -249,8 +249,8 @@ def normal_form(p: SparsePoly) -> dict[tuple[tuple[int, ...], int], Fraction]:
     principal-minor ideal is one-dimensional, and every monomial maps to
     its class basis element with coefficient one, so the normal form is
     the dict of nonzero class-wise coefficient sums; it is empty exactly
-    when p lies in the principal-minor ideal.  Inhomogeneous input
-    raises ``Inhomogeneous``.
+    when p lies in the principal-minor ideal.  A polynomial that is not
+    homogeneous raises ValueError.
     """
     if not p.is_zero():
         multidegree(p)
@@ -286,7 +286,7 @@ def in_twisted_veronese(p: SparsePoly, mask: int) -> bool:
 
 # -- text grammar -------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(x\d{2,}|\d+|[+\-*/])")
+_TOKEN = re.compile(r"\s*(x\d{2,}|\d+(?:\s*/\s*\d+)?|[+\-*/])", re.ASCII)
 
 
 def render_poly(p: SparsePoly) -> str:
@@ -320,7 +320,7 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip():
+            if text[pos:].strip(" \t\n\r\f\v"):  # \s under re.ASCII
                 raise ValueError(f"cannot tokenize {text[pos:]!r}")
             break
         tokens.append(m.group(1))
@@ -330,22 +330,18 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
 
     raw_terms: list[tuple[int, Fraction | None, list[tuple[int, int]]]] = []
     sign, signed, coeff, vars_ = 1, False, None, []
-    num_open, has_den = None, False
 
     def flush():
-        nonlocal sign, signed, coeff, vars_, num_open, has_den
-        if num_open is not None:
-            raise ValueError("dangling '/' in coefficient")
+        nonlocal sign, signed, coeff, vars_
         if coeff is None and not vars_:
             raise ValueError("empty term")
         raw_terms.append((sign, coeff, vars_))
-        sign, signed, coeff, vars_, has_den = 1, False, None, [], False
+        sign, signed, coeff, vars_ = 1, False, None, []
 
-    star = False  # a '*' needs a variable after it; a digit fails below
-    for tok in tokens:
-        if star and tok in "+-*/":
+    for prev, tok in zip(["", *tokens], tokens):
+        # A '*' needs a variable after it; a digit fails below.
+        if prev == "*" and tok in "+-*/":
             raise ValueError("'*' without a variable after it")
-        star = tok == "*"
         if tok in "+-":
             if coeff is not None or vars_:
                 flush()
@@ -358,29 +354,24 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
             if coeff is None and not vars_:
                 raise ValueError("misplaced '*'")
         elif tok == "/":
-            if has_den:
-                raise ValueError("second '/' in a coefficient")
-            if coeff is None or num_open is not None or vars_:
-                raise ValueError("misplaced '/'")
-            num_open = coeff
-        elif tok.isdigit():
-            if num_open is not None:
-                if int(tok) == 0:
-                    raise ValueError(
-                        f"zero denominator in the coefficient {num_open}/{tok}")
-                coeff = Fraction(num_open) / int(tok)
-                num_open, has_den = None, True
-            elif coeff is not None:
+            # A fraction is one token, so a lone '/' is outside the grammar.
+            raise ValueError("second '/' in a coefficient" if "/" in prev
+                             else "misplaced '/'")
+        elif tok[0].isdigit():
+            num, _, den = tok.partition("/")
+            if coeff is not None:
                 raise ValueError("two coefficients in one term")
-            elif vars_:
-                raise ValueError(f"coefficient {tok} after a variable")
-            else:
-                coeff = Fraction(int(tok))
+            if vars_:
+                raise ValueError(f"coefficient {num.rstrip()} after a variable")
+            if den and int(den) == 0:
+                raise ValueError("zero denominator in the coefficient "
+                                 f"{int(num)}/{den.strip()}")
+            coeff = Fraction(int(num), int(den or 1))
         else:  # variable
             if len(tok) > 3 or "0" in tok:
                 raise ValueError(f"bad variable {tok!r}")
             vars_.append(pair(int(tok[1]), int(tok[2])))
-    if star:
+    if tokens[-1] == "*":
         raise ValueError("'*' without a variable after it")
     flush()
 
@@ -389,7 +380,7 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
     if n is None:
         n = max([2, *indices])
     elif indices and max(indices) > n:
-        raise SizeMismatch(f"variable index {max(indices)} exceeds n={n}")
+        raise ValueError(f"variable index {max(indices)} exceeds n={n}")
 
     terms: dict[Monomial, Fraction] = {}
     for s, c, vs in raw_terms:

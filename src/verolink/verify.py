@@ -24,7 +24,6 @@ from functools import reduce
 from itertools import groupby
 from operator import add, ge, or_, sub
 
-from .errors import IndexOutOfRange, SizeMismatch
 from .exactlin import (IntMatrix, clear_denominators, invariant_factors,
                        kernel_lattice, rational_nullspace, rational_rank)
 from .fibers import (_check_level, _fibers_of_sum, _raw_fiber, degrees_up_to,
@@ -42,7 +41,7 @@ def _prepared(gens: list[SparsePoly], n: int) -> list[tuple]:
     coefficient) pairs, scaled by ``clear_denominators``.
     ``multidegree`` rejects an inhomogeneous generator."""
     if any(g.n != n for g in gens):
-        raise SizeMismatch("generator over a different variable set")
+        raise ValueError("generator over a different variable set")
     prepared = []
     for g in gens:
         multidegree(g)
@@ -332,7 +331,7 @@ def colon_membership(f: SparsePoly, n: int) -> bool:
     generator at a time.
     """
     if f.n != n:
-        raise IndexOutOfRange("polynomial over a different variable set")
+        raise ValueError("polynomial over a different variable set")
     return all(in_principal_minor_ideal(f * g) for g in veronese_minor_gens(n))
 
 
@@ -349,7 +348,7 @@ def group_algebra_subintersection(k: int) -> bool:
     Xeon (k = 6 about 0.4 s).
     """
     if not 1 <= k <= 7:
-        raise IndexOutOfRange("need 1 <= k <= 7")
+        raise ValueError("need 1 <= k <= 7")
     # Group elements are k-bit ints, coordinate i in bit k-1-i: the
     # product is XOR and the order is that of the coordinate tuples.
     size = 1 << k

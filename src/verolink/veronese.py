@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from operator import add
 
-from .errors import IndexOutOfRange, SizeCapExceeded
+from .errors import SizeCapExceeded
 from .exactlin import IntMatrix
 
 #: Hard caps; fiber enumeration beyond this is out of desk scale.
@@ -29,7 +29,7 @@ MAX_DN = 24
 def check_size(d: int, n: int) -> None:
     """Reject parameter ranges that would hang rather than compute."""
     if d < 1 or n < 1:
-        raise IndexOutOfRange(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     if n > MAX_N or d * n > MAX_DN:
         raise SizeCapExceeded(f"size guard: n <= {MAX_N} and d*n <= {MAX_DN}, "
                               f"got d={d}, n={n}")
@@ -38,7 +38,7 @@ def check_size(d: int, n: int) -> None:
 def pair_count(n: int) -> int:
     """Number of unordered pairs {i < j} in [n], i.e. binom(n, 2)."""
     if n < 0:
-        raise IndexOutOfRange("n must be nonnegative")
+        raise ValueError("n must be nonnegative")
     return comb(n, 2)
 
 
@@ -97,7 +97,7 @@ class Monomial:
 
     def __post_init__(self):
         if len(self.exps) != len(variable_multisets(2, self.n)):
-            raise IndexOutOfRange("exponent vector length does not match n")
+            raise ValueError("exponent vector length does not match n")
         if min(self.exps) < 0:
             raise ValueError("negative exponent")
 
@@ -139,7 +139,7 @@ class Monomial:
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if self.n != other.n:
-            raise IndexOutOfRange("monomials over different variable sets")
+            raise ValueError("monomials over different variable sets")
         return Monomial(self.n, tuple(map(add, self.exps, other.exps)))
 
     def __str__(self):
@@ -158,7 +158,7 @@ def minor_vector(i: int, j: int, k: int, l: int, n: int) -> tuple[int, ...]:
     """
     for idx in (i, j, k, l):
         if not 1 <= idx <= n:
-            raise IndexOutOfRange(f"index {idx} outside [1, {n}]")
+            raise ValueError(f"index {idx} outside [1, {n}]")
     pos = column_position(2, n)
     vec = [0] * len(pos)
     vec[pos[pair(i, k)]] += 1
@@ -177,7 +177,7 @@ def veronese_lattice_basis(n: int) -> list[tuple[int, ...]]:
     the spanned lattice is saturated.
     """
     if n < 2:
-        raise IndexOutOfRange("need n >= 2")
+        raise ValueError("need n >= 2")
     check_size(2, n)
     return [minor_vector(i, n, j, n, n)
             for i in range(1, n) for j in range(i, n)]
@@ -190,7 +190,7 @@ def principal_minor_basis(n: int) -> list[tuple[int, ...]]:
     diagonal ones; binom(n-1, 2) + (n - 1) vectors in total.
     """
     if n < 2:
-        raise IndexOutOfRange("need n >= 2")
+        raise ValueError("need n >= 2")
     check_size(2, n)
     doubled = [tuple(2 * v for v in minor_vector(i, n, j, n, n))
                for i in range(1, n) for j in range(i + 1, n)]

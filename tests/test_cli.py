@@ -191,7 +191,18 @@ def test_a_slash_outside_the_grammar_is_a_usage_error(capsys, monkeypatch,
     ("x11* - x22", "'*' without a variable after it"),
     ("2*", "'*' without a variable after it"),
     ("x11**x22", "'*' without a variable after it"),
-    ("x11*x22*", "'*' without a variable after it")])
+    ("x11*x22*", "'*' without a variable after it"),
+    # A '/' stands only inside a coefficient: not 1/2*x12, 1/10 or 3/4*x11*x22.
+    ("1/x12 2", "misplaced '/'"),
+    ("1/*10", "misplaced '/'"),
+    ("3/x11*x22 4 - x12", "misplaced '/'"),
+    ("1/", "misplaced '/'"),
+    # Digits and spaces are ASCII: not x12, 3*x11, x12 + 2 or x11 + x22.
+    ("x\u0661\u0662", "cannot tokenize"),
+    ("\u0663*x11", "cannot tokenize"),
+    ("x\uff11\uff12 + \uff12", "cannot tokenize"),
+    ("x11\u00a0+ x22", "cannot tokenize"),
+    ("x11 + x22\u00a0", "cannot tokenize")])
 def test_input_outside_the_grammar_is_a_usage_error(capsys, monkeypatch, argv,
                                                     text, message):
     code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
@@ -251,11 +262,36 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("degree", ["1_0,1,1", "\u0662,1,1", "2,1,\uff11",
+                                    "2,,1", "2,1,1,", "2.0,1,1", "0x2,1,1"])
+def test_a_degree_outside_ascii_integers_is_a_usage_error(capsys, degree):
+    # int() alone reads 1_0 as 10 and non-ASCII digits as their values.
+    code, out, err = run(capsys, ["fiber", "-n", "3", "-b", degree])
+    assert code == 2 and out == ""
+    assert err == (f"error: bad degree {degree!r}; "
+                   "expected comma-separated integers\n")
+
+
+@pytest.mark.parametrize("degree", ["2,1,1", " 2, 1 ,1 ", "+2,1,+1"])
+def test_a_degree_takes_signs_and_spaces(capsys, degree):
+    assert run(capsys, ["fiber", "-n", "3", "-b", degree]) == \
+        (0, "x12*x13\nx11*x23\n", "")
+
+
 def test_size_cap_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("VLAB_SIZE_CAP", "2")
     code, _, err = run(capsys, ["fiber", "-n", "4", "-b", "2,2,2,2"])
     assert code == 3
     assert "cap" in err
+
+
+def test_a_size_stop_is_not_a_usage_error():
+    # Usage errors are ValueError; an ``except ValueError`` in a caller
+    # must not swallow a size stop.
+    assert not issubclass(verolink.SizeCapExceeded, ValueError)
+    errors = vars(verolink.errors)
+    assert [name for name, v in errors.items() if isinstance(v, type)] == \
+        ["SizeCapExceeded"]
 
 
 def test_non_integer_size_cap_is_a_usage_error(capsys, monkeypatch):

@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from verolink.errors import (DegreeMismatch, Inhomogeneous, SizeMismatch,
-                             ZeroPolynomial)
 from verolink.poly import (SparsePoly, all_characters, character_of_twisting,
                            character_pairs, character_spec, character_value,
                            in_principal_minor_ideal, in_twisted_veronese,
@@ -44,7 +42,8 @@ def test_one_is_neutral():
 
 
 def test_size_mismatch_raises():
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(ValueError,
+                       match="polynomials over different variable sets"):
         SparsePoly.variable(3, 1, 2) + SparsePoly.variable(4, 1, 2)
 
 
@@ -78,12 +77,12 @@ def test_multidegree_golden():
 
 
 def test_multidegree_inhomogeneous():
-    with pytest.raises(Inhomogeneous):
+    with pytest.raises(ValueError, match="terms of distinct multidegrees"):
         multidegree(parse_poly("x11 + x22"))
 
 
 def test_multidegree_zero():
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(ValueError, match="the zero polynomial has no multidegree"):
         multidegree(SparsePoly.zero(3))
 
 
@@ -133,10 +132,11 @@ def test_twist_is_ring_automorphism():
 @pytest.mark.parametrize("t", [1 << 6, -1, -(1 << 6)])
 def test_twist_refuses_a_mask_outside_the_variables(t):
     # n = 3 has six variables; a higher or negative bit is not dropped.
-    with pytest.raises(SizeMismatch,
+    with pytest.raises(ValueError,
                        match="twisting over a different variable set"):
         twist(parse_poly("x11*x23 - x12*x13"), t)
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(ValueError,
+                       match="twisting over a different variable set"):
         character_of_twisting(3, t)
 
 
@@ -198,7 +198,7 @@ def test_a_character_mask_outside_its_pairs_is_refused(n, mask):
                  lambda: character_spec(n, mask),
                  lambda: character_value(mask, u, u),
                  lambda: in_twisted_veronese(SparsePoly.monomial(u), mask)):
-        with pytest.raises(SizeMismatch,
+        with pytest.raises(ValueError,
                            match="character over a different variable set"):
             call()
 
@@ -214,7 +214,7 @@ def test_character_value_goldens():
 
 
 def test_character_value_degree_mismatch():
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(ValueError, match="monomials lie in different fibers"):
         character_value(0, Monomial.variable(3, 1, 1),
                         Monomial.variable(3, 1, 2))
 
@@ -243,7 +243,7 @@ def test_normal_form_of_zero_is_empty():
 
 
 def test_normal_form_inhomogeneous_raises():
-    with pytest.raises(Inhomogeneous):
+    with pytest.raises(ValueError, match="terms of distinct multidegrees"):
         normal_form(parse_poly("x11 + x22"))
 
 
@@ -431,11 +431,11 @@ def test_parse_builds_the_polynomial_a_fixed_number_of_times(monkeypatch):
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot tokenize 'x1'"):
         parse_poly("x1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty polynomial text"):
         parse_poly("")
-    with pytest.raises(SizeMismatch):
+    with pytest.raises(ValueError, match="variable index 4 exceeds n=3"):
         parse_poly("x14", n=3)
 
 

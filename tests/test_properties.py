@@ -7,12 +7,13 @@ Runs derandomized, so every run draws the same examples; skipped when
 hypothesis is not installed.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from verolink.exactlin import (IntMatrix, _hermite, clear_denominators,
                                column_lattice_basis, contains_column_space,
@@ -133,6 +134,32 @@ def test_parse_inverts_render(data):
     n = data.draw(sizes)
     p = data.draw(polys(n))
     assert parse_poly(render_poly(p), n) == p
+
+
+# The README grammar over maximal-munch tokens, whitespace between them
+# ignored; a denominator is nonzero.
+_COEFF = r"[0-9]+(?:\s*/\s*[0-9]*[1-9][0-9]*)?"
+_VAR = r"x[1-9][1-9]"
+_TERM = rf"(?:{_COEFF}|(?:{_COEFF}\s*(?:\*\s*)?)?{_VAR}(?:\s*(?:\*\s*)?{_VAR})*)"
+GRAMMAR = re.compile(rf"\s*[+-]?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
+
+
+def parses(text: str) -> bool:
+    try:
+        parse_poly(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(PROPERTY, max_examples=2000)
+@given(st.lists(st.sampled_from(["x11", "x12", "x23", "2", "0", "+", "-",
+                                 "*", "/", " "]), max_size=9).map("".join))
+@example("1/x12 2")
+@example("1/*10")
+@example("3/x11*x22 4 - x12")
+def test_parse_accepts_exactly_the_grammar(text):
+    assert parses(text) == bool(GRAMMAR.fullmatch(text))
 
 
 @PROPERTY
