@@ -19,9 +19,10 @@ with positive pivots and entries above a pivot reduced into
 ``[0, pivot)``.  The Hermite form is the one lattice routine: the Smith
 form alternates row and column Hermite forms until the matrix is
 diagonal, and lattice coordinates are read off Hermite basis rows.  A
-Hermite form whose transform would be discarded (the Smith rounds and
-lattice bases) builds none.  Only ``det`` eliminates on its own, by
-Bareiss steps, so that it can check the transforms independently.
+Hermite or Smith form whose transforms would be discarded (the Smith
+rounds, invariant factors and lattice bases) builds none.  Only ``det``
+eliminates on its own, by Bareiss steps, so that it can check the
+transforms independently.
 """
 
 from __future__ import annotations
@@ -201,20 +202,75 @@ def _hermite(H: list[list[int]], U: list[list[int]] | None) -> None:
             _row_sub(H, U, i, pr, H[i][pc] // H[pr][pc], pc)
 
 
-def _hermite_carrying(A: IntMatrix, T: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Hermite form of A, and T with the same row operations applied.
+def _transpose(rows: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)]
+
+
+def _hermite_carrying(A: list[list[int]], T: list[list[int]]
+                      ) -> tuple[list[list[int]], list[list[int]]]:
+    """Hermite form of the rows A, and the rows T with the same row
+    operations applied.
 
     T rides to the right of A in one Hermite form of ``[A | T]``.  A's
     columns come first, so its part of the result is the Hermite form of
     A; the later pivots in T's columns only combine rows that are zero
-    on A.  So the second matrix is V @ T for a unimodular V with
-    V @ A equal to the first, and a transform composes without a
-    matrix product; the transform of ``[A | T]`` itself is never built.
+    on A.  So the second part is V @ T for a unimodular V with V @ A
+    equal to the first, and a transform composes without a matrix
+    product; the transform of ``[A | T]`` itself is never built.
     """
-    H = A.hstack(T).data
+    k = len(A[0])
+    H = [a + t for a, t in zip(A, T)]
     _hermite(H, None)
-    return (IntMatrix([row[:A.cols] for row in H], cols=A.cols),
-            IntMatrix([row[A.cols:] for row in H], cols=T.cols))
+    return [row[:k] for row in H], [row[k:] for row in H]
+
+
+def _smith(A: list[list[int]], U: list[list[int]] | None,
+           W: list[list[int]] | None) -> int:
+    """Bring the rows A to Smith form in place and return its rank,
+    applying each row operation to the rows of U and each column
+    operation to the columns of W; U and W are None when the caller
+    discards them, and then no transform is built.
+
+    Row and column Hermite forms alternate until A is diagonal (Kannan
+    and Bachem 1979): each round either strictly lowers a leading pivot
+    to a proper divisor or leaves its row and column clear for good.  A
+    carried transform leaves A's part of a Hermite form as it is, so A
+    goes through the same steps with or without them.  A row Hermite
+    form puts the nonzero diagonal entries first, and 2x2 gcd/lcm steps
+    then turn them into a divisibility chain.
+    """
+    _hermite(A, U)
+    while any(x for i, row in enumerate(A) for j, x in enumerate(row) if i != j):
+        if U is None:
+            At = _transpose(A)
+            _hermite(At, None)
+            A[:] = _transpose(At)
+            _hermite(A, None)
+        else:
+            At, Wt = _hermite_carrying(_transpose(A), _transpose(W))
+            A[:], U[:] = _hermite_carrying(_transpose(At), U)
+            W[:] = _transpose(Wt)
+
+    rank = sum(1 for i, row in enumerate(A) if i < len(row) and row[i])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            a, b = A[i][i], A[j][j]
+            if b % a == 0:
+                continue
+            g = gcd(a, b)
+            x, y = b // g, a // g
+            if U is not None:
+                # [[s, t], [-b/g, a/g]] @ diag(a, b) @ [[1, -t*b/g], [1, s*a/g]]
+                # is diag(g, lcm), with both factors of determinant one.
+                s = pow(y, -1, x)
+                t = (g - s * a) // b
+                U[i], U[j] = ([s * p + t * q for p, q in zip(U[i], U[j])],
+                              [y * q - x * p for p, q in zip(U[i], U[j])])
+                for row in W:
+                    row[i], row[j] = (row[i] + row[j],
+                                      s * y * row[j] - t * x * row[i])
+            A[i][i], A[j][j] = g, a * x
+    return rank
 
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -223,41 +279,20 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     S is diagonal, and its entries are the invariant factors of the
     cokernel of M (ones included, zeros trailing): the nonzero ones are
-    positive and form a divisibility chain d1 | d2 | ....  Row and column Hermite forms
-    alternate until the matrix is diagonal (Kannan and Bachem 1979):
-    each round either strictly lowers a leading pivot to a proper
-    divisor or leaves its row and column clear for good.  A row Hermite
-    form puts the nonzero diagonal entries first, and 2x2 gcd/lcm steps
-    then turn them into a divisibility chain.
+    positive and form a divisibility chain d1 | d2 | ....
     """
-    A, U = hermite_normal_form(M)
-    W = IntMatrix.identity(M.cols)
-    while any(x for i, row in enumerate(A.data) for j, x in enumerate(row) if i != j):
-        At, Wt = _hermite_carrying(A.transpose(), W.transpose())
-        A, U = _hermite_carrying(At.transpose(), U)
-        W = Wt.transpose()
-
-    S, U, W = A.data, U.data, W.data
-    rank = sum(1 for x in A.diagonal() if x)
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            a, b = S[i][i], S[j][j]
-            if b % a == 0:
-                continue
-            # [[s, t], [-b/g, a/g]] @ diag(a, b) @ [[1, -t*b/g], [1, s*a/g]]
-            # is diag(g, lcm), with both factors of determinant one.
-            g = gcd(a, b)
-            x, y = b // g, a // g
-            s = pow(y, -1, x)
-            t = (g - s * a) // b
-            U[i], U[j] = ([s * p + t * q for p, q in zip(U[i], U[j])],
-                          [y * q - x * p for p, q in zip(U[i], U[j])])
-            for row in W:
-                row[i], row[j] = row[i] + row[j], s * y * row[j] - t * x * row[i]
-            S[i][i], S[j][j] = g, a * x
-
+    S = [row[:] for row in M.data]
+    U = IntMatrix.identity(M.rows).data
+    W = IntMatrix.identity(M.cols).data
+    _smith(S, U, W)
     return (IntMatrix(U, cols=M.rows), IntMatrix(S, cols=M.cols),
             IntMatrix(W, cols=M.cols))
+
+
+def _smith_diagonal(M: IntMatrix) -> list[int]:
+    """The nonzero diagonal of the Smith form of M, without transforms."""
+    S = [row[:] for row in M.data]
+    return [S[i][i] for i in range(_smith(S, None, None))]
 
 
 def det(M: IntMatrix) -> int:
@@ -337,11 +372,11 @@ def invariant_factors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
 
     Both arguments hold lattice generating sets as columns.  ``sub``
     must generate a finite-index sublattice of the lattice generated by
-    ``ambient``; the factors are read off the Smith normal form of the
-    coordinates of ``sub`` in an ambient basis, sorted ascending.  The
-    basis is a Hermite form, so each coordinate is an exact division at
-    its pivot; a remainder, or anything left over once every basis
-    vector is taken off, raises ValueError.
+    ``ambient``; the factors are read off the Smith diagonal of the
+    coordinates of ``sub`` in an ambient basis, sorted ascending, and no
+    transform is built.  The basis is a Hermite form, so each coordinate
+    is an exact division at its pivot; a remainder, or anything left
+    over once every basis vector is taken off, raises ValueError.
     """
     basis = column_lattice_basis(ambient)
     if sub.cols == 0:
@@ -362,8 +397,7 @@ def invariant_factors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
         if any(v):
             raise ValueError("columns of sub do not lie in the span of ambient")
         coords.append(coord)
-    _, S, _ = smith_normal_form(IntMatrix.from_columns(coords, rows=basis.cols))
-    factors = [d for d in S.diagonal() if d]
+    factors = _smith_diagonal(IntMatrix.from_columns(coords, rows=basis.cols))
     if len(factors) < basis.cols:
         raise ValueError("sublattice has lower rank than the ambient lattice")
     return [d for d in factors if d > 1]

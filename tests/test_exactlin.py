@@ -218,6 +218,28 @@ def test_torsion_makes_no_fraction(monkeypatch):
     assert higher_torsion(3, 4) == [3] * 13
 
 
+def test_torsion_and_invariant_factors_build_no_smith_transform(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor-only path built a Smith transform")
+
+    for name in ("_hermite_carrying", "smith_normal_form"):
+        monkeypatch.setattr(exactlin, name, refuse)
+    carried = []
+    hermite = exactlin._hermite
+
+    def counting(H, U):
+        carried.append(U is not None)
+        return hermite(H, U)
+
+    monkeypatch.setattr(exactlin, "_hermite", counting)
+    assert invariant_factors(IntMatrix.from_columns([(2, 0), (0, 6)]),
+                             IntMatrix.identity(2)) == [2, 6]
+    assert not any(carried)
+    # The one transform on the torsion path is the kernel basis's.
+    assert higher_torsion(3, 4) == [3] * 13
+    assert carried.count(True) == 1
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_normal_forms_leave_their_arguments_unchanged(seed):
     rng = random.Random(500 + seed)

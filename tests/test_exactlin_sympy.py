@@ -22,10 +22,13 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf  # noqa:
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 
 from test_exactlin import check_snf, nonzero_diagonal  # noqa: E402
+from test_verify import TORSION_COUNTS  # noqa: E402
 from verolink.exactlin import (IntMatrix, clear_denominators,  # noqa: E402
                                hermite_normal_form, rational_nullspace,
                                rational_rank, rational_rref,
                                smith_normal_form, solve_rational)
+from verolink.ideals import generator_lattice, higher_veronese_gens  # noqa: E402
+from verolink.verify import higher_torsion  # noqa: E402
 
 SEEDS = range(30)
 
@@ -315,3 +318,10 @@ def test_hermite_form_matches_sympy(seed):
     theirs = sympy_hnf(sympy.Matrix(reversed_rows(M.data)).T).T
     assert [row for row in H.data if any(row)] == reversed_rows(
         [[int(x) for x in theirs.row(i)] for i in range(theirs.rows)])
+
+
+@pytest.mark.parametrize("d,n", sorted(TORSION_COUNTS))
+def test_torsion_is_sympys_smith_factors_of_the_generator_matrix(d, n):
+    L = generator_lattice(higher_veronese_gens(d, n))
+    theirs = invariant_factors(sympy.Matrix(L.data), domain=sympy.ZZ)
+    assert higher_torsion(d, n) == [abs(int(x)) for x in theirs if abs(x) > 1]

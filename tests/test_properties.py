@@ -15,7 +15,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from verolink.exactlin import (IntMatrix, _hermite, clear_denominators,
+from verolink.exactlin import (IntMatrix, _hermite, _smith_diagonal,
+                               clear_denominators,
                                column_lattice_basis, contains_column_space,
                                hermite_normal_form, is_unimodular,
                                rational_rank, rational_rref,
@@ -248,6 +249,28 @@ def test_the_smith_transforms_are_unimodular_and_give_the_form(M):
     assert is_unimodular(U) and is_unimodular(W)
     assert all(x == 0 for i, row in enumerate(S.data)
                for j, x in enumerate(row) if i != j)
+
+
+zero_matrices = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+    lambda shape: IntMatrix([[0] * shape[1] for _ in range(shape[0])],
+                            cols=shape[1]))
+single_rows = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(
+    lambda row: IntMatrix([row]))
+single_columns = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(
+    lambda col: IntMatrix.from_columns([col]))
+
+
+@PROPERTY
+@given(st.one_of(zero_matrices, single_rows, single_columns, int_matrices,
+                 deficient_int_matrices()))
+@example(IntMatrix([], cols=3))
+@example(IntMatrix([[], []], cols=0))
+@example(IntMatrix([[2, 0], [0, 3]]))
+@example(IntMatrix([[4, 0, 0], [0, 6, 0], [0, 0, 10]]))
+@example(IntMatrix([[4, 2], [-4, 1]]))  # diagonal only after a second round
+def test_the_transform_free_smith_diagonal_is_the_smith_diagonal(M):
+    _, S, _ = smith_normal_form(M)
+    assert _smith_diagonal(M) == [d for d in S.diagonal() if d]
 
 
 @PROPERTY

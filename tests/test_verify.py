@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+from verolink import verify
 from verolink.errors import SizeCapExceeded
-from verolink.exactlin import contains_column_space, rational_rank
+from verolink.exactlin import (_smith_diagonal, contains_column_space,
+                               invariant_factors, kernel_lattice,
+                               rational_rank)
 from verolink.fibers import _raw_fiber, minimal_saturated_fibers
-from verolink.ideals import principal_minor_gens
+from verolink.ideals import generator_lattice, principal_minor_gens
 from verolink.link import link_generators, saturated_fiber_poly
 from verolink.poly import SparsePoly, all_characters, parse_poly
-from verolink.veronese import Monomial
+from verolink.veronese import Monomial, column_position, veronese_matrix
 from verolink.verify import (colon_membership, group_algebra_subintersection,
                              higher_torsion, ideal_degree_piece,
                              subintersection_degree_piece,
@@ -314,3 +317,51 @@ def test_the_torsion_table_covers_every_guarded_pair():
 @pytest.mark.parametrize("d,n", sorted(TORSION_COUNTS))
 def test_higher_torsion_table(d, n):
     assert higher_torsion(d, n) == [d] * TORSION_COUNTS[d, n]
+
+
+def two_lattice_torsion(d, n):
+    """The route through a basis of the grading's kernel: the generators'
+    coordinates in it and their Smith form."""
+    return invariant_factors(generator_lattice(verify.higher_veronese_gens(d, n)),
+                             kernel_lattice(veronese_matrix(d, n)))
+
+
+@pytest.mark.parametrize("d,n", sorted(TORSION_COUNTS))
+def test_higher_torsion_equals_the_two_lattice_route(d, n):
+    assert higher_torsion(d, n) == two_lattice_torsion(d, n)
+
+
+@pytest.mark.parametrize("d,n", sorted(TORSION_COUNTS))
+def test_the_kernel_of_the_grading_is_saturated(d, n):
+    # The hypothesis that lets the torsion skip coordinates in a kernel
+    # basis: Z^N over the kernel is free, so its Smith factors are all 1.
+    K = kernel_lattice(veronese_matrix(d, n))
+    assert _smith_diagonal(K) == [1] * K.cols == [1] * (K.rows - n)
+
+
+def drop_one(gens, d, n):
+    return gens[:-1]
+
+
+def off_the_kernel(gens, d, n):
+    # One more x_11...1 in the first binomial: the grading no longer kills it.
+    v = list(gens[0])
+    v[column_position(d, n)[(1,) * d]] += 1
+    return [tuple(v)] + gens[1:]
+
+
+@pytest.mark.parametrize("d,n", sorted(TORSION_COUNTS))
+@pytest.mark.parametrize("mutant", [drop_one, off_the_kernel])
+def test_a_mutant_generator_set_is_refused_as_by_the_two_lattice_route(
+        monkeypatch, mutant, d, n):
+    real = verify.higher_veronese_gens
+    monkeypatch.setattr(verify, "higher_veronese_gens",
+                        lambda d, n: mutant(real(d, n), d, n))
+    with pytest.raises(ValueError) as reference:
+        two_lattice_torsion(d, n)
+    with pytest.raises(ValueError) as raised:
+        higher_torsion(d, n)
+    assert str(raised.value) == str(reference.value)
+    # At (2, 2) the one binomial is dropped and no lattice is left.
+    if mutant is drop_one and (d, n) != (2, 2):
+        assert "lower rank than the ambient" in str(raised.value)
