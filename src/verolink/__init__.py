@@ -16,9 +16,9 @@ from .poly import (SparsePoly, all_characters, character_of_twisting,
                    character_spec, character_value, in_principal_minor_ideal,
                    in_twisted_veronese, multidegree, normal_form, parse_poly,
                    render_poly, twist, twisting_from_character)
-from .veronese import (Monomial, minor_vector, pair_count,
-                       principal_minor_basis, veronese_matrix,
-                       veronese_lattice_basis)
+from .veronese import (minor_vector, monomial, monomial_degree,
+                       monomial_text, pair_count, principal_minor_basis,
+                       veronese_matrix, veronese_lattice_basis)
 from .verify import (VerificationReport, colon_membership,
                      group_algebra_subintersection, higher_torsion,
                      verify_decomposition, verify_link)

@@ -12,33 +12,33 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from itertools import groupby
 
 from .errors import SizeCapExceeded
-from .fibers import enumerate_fiber, fiber_classes, hilbert_table
+from .fibers import (ASCII_INTEGER, enumerate_fiber, fiber_classes,
+                     hilbert_table)
 from .link import saturated_fiber_poly, zonotope_poly
 from .poly import (SparsePoly, character_pairs, in_principal_minor_ideal,
                    in_twisted_veronese, parse_poly, render_poly, twist)
-from .veronese import (column_position, pair, principal_minor_basis,
-                       variable_multisets, veronese_lattice_basis,
-                       veronese_matrix)
+from .veronese import (column_position, monomial_text, pair,
+                       principal_minor_basis, variable_multisets,
+                       veronese_lattice_basis, veronese_matrix)
 from .verify import (colon_membership, group_algebra_subintersection,
                      higher_torsion, verify_decomposition, verify_link)
 
 USAGE_ERROR = 2
 SIZE_CAP_ERROR = 3
-_DEGREE_ENTRY = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 # -- JSON polynomial schema --------------------------------------------
 
 def poly_to_json(p: SparsePoly) -> list[dict]:
     """Array of {"exp": {"ij": e, ...}, "coeff": "p/q"} term objects."""
+    labels = ["".join(map(str, ms)) for ms in variable_multisets(2, p.n)]
     out = []
     for m, c in p.sorted_terms():
-        exp = {"".join(str(i) for i in ms): e for ms, e in m.support()}
+        exp = {label: e for label, e in zip(labels, m) if e}
         out.append({"exp": exp, "coeff": str(c)})
     return out
 
@@ -85,7 +85,7 @@ def parse_degree(text: str) -> tuple[int, ...]:
     """Comma-separated ASCII integers; ``int`` alone would also take
     ``1_0`` and non-ASCII digits."""
     entries = text.split(",")
-    if not all(_DEGREE_ENTRY.fullmatch(x) for x in entries):
+    if not all(ASCII_INTEGER.fullmatch(x) for x in entries):
         raise ValueError(f"bad degree {text!r}; expected comma-separated integers")
     return tuple(map(int, entries))
 
@@ -136,12 +136,12 @@ def cmd_torsion(args) -> int:
 def cmd_fiber(args) -> int:
     b = parse_degree(args.b)
     if args.classes:
-        rendered = [(cid, str(m)) for cid, cls in
+        rendered = [(cid, monomial_text(m, args.n)) for cid, cls in
                     enumerate(fiber_classes(args.n, b)) for m in cls]
         lines = [f"{cid}\t{text}" for cid, text in rendered]
         payload = [{"class": cid, "monomial": text} for cid, text in rendered]
     else:
-        lines = [str(m) for m in enumerate_fiber(args.n, b)]
+        lines = [monomial_text(m, args.n) for m in enumerate_fiber(args.n, b)]
         payload = [{"monomial": text} for text in lines]
     _emit(args, payload, lines)
     return 0

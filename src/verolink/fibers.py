@@ -11,15 +11,20 @@ and serves as its independent oracle.
 from __future__ import annotations
 
 import os
+import re
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import SizeCapExceeded
-from .veronese import (Monomial, check_size, column_position, column_supports,
-                       minor_vector, variable_multisets)
+from .veronese import (check_size, column_position, column_supports,
+                       minor_vector, monomial_degree, variable_multisets)
 
 DEFAULT_SIZE_CAP = 10 ** 6
+#: An integer as read from outside input: ASCII digits, an optional sign
+#: and surrounding whitespace; ``int()`` alone also takes ``1_0`` and
+#: non-ASCII digits.
+ASCII_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 def size_cap() -> int:
@@ -28,15 +33,14 @@ def size_cap() -> int:
     ``_check_level`` the monomials of a degree level.
 
     VLAB_SIZE_CAP overrides the default and must be a non-negative
-    integer; anything else raises ValueError naming the variable.
+    integer in ASCII digits, with an optional sign and surrounding
+    spaces; anything else (``1_0``, non-ASCII digits) raises ValueError
+    naming the variable.
     """
     raw = os.environ.get("VLAB_SIZE_CAP")
     if raw is None:
         return DEFAULT_SIZE_CAP
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = -1
+    limit = int(raw) if ASCII_INTEGER.fullmatch(raw) else -1
     if limit < 0:
         raise ValueError(
             f"VLAB_SIZE_CAP must be a non-negative integer, got {raw!r}")
@@ -118,13 +122,14 @@ def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_fiber(n: int, b) -> list[Monomial]:
-    """All monomials of multidegree b, in lexicographic exponent order.
+def enumerate_fiber(n: int, b) -> list[tuple[int, ...]]:
+    """All monomials of multidegree b as dense exponent tuples, in
+    lexicographic order.
 
     Empty when b is not in the grading monoid.  Raises SizeCapExceeded
     once the solution count passes ``size_cap()``.
     """
-    return [Monomial(n, exps) for exps in _raw_fiber(2, n, tuple(b))]
+    return _raw_fiber(2, n, tuple(b))
 
 
 def _check_level(n: int, s: int) -> None:
@@ -255,16 +260,17 @@ def off_diagonal_parities(exps: tuple[int, ...], n: int) -> int:
     return mask
 
 
-def class_key(u: Monomial) -> tuple[tuple[int, ...], int]:
-    """Complete invariant of a fiber point modulo the principal-minor
-    lattice: the pair (degree, parities).
+def class_key(u: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """Complete invariant of a fiber point, a dense exponent tuple over n
+    indices, modulo the principal-minor lattice: the pair (degree,
+    parities).
 
     ``parities`` is ``off_diagonal_parities`` of the point; together
     with the multidegree it separates equivalence classes because every
     principal-minor move changes each off-diagonal entry by an even
     amount.
     """
-    return u.degree(), off_diagonal_parities(u.exps, u.n)
+    return monomial_degree(u, n), off_diagonal_parities(u, n)
 
 
 def class_count(n: int, b) -> int:
@@ -307,7 +313,7 @@ def minimal_saturated_fibers(n: int) -> list[tuple[int, ...]]:
 
 
 def connectivity_classes(n: int, b, moves: list[tuple[int, ...]]
-                         ) -> list[list[Monomial]]:
+                         ) -> list[list[tuple[int, ...]]]:
     """Partition the fiber of b into components of the move graph.
 
     Edges join u and u + m for each move m whenever both endpoints are
@@ -343,8 +349,7 @@ def connectivity_classes(n: int, b, moves: list[tuple[int, ...]]
     groups: dict[int, list[tuple[int, ...]]] = {}
     for exps, k in index.items():
         groups.setdefault(find(k), []).append(exps)
-    components = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-    return [[Monomial(n, exps) for exps in comp] for comp in components]
+    return sorted(sorted(g) for g in groups.values())
 
 
 def principal_moves(n: int) -> list[tuple[int, ...]]:
@@ -353,7 +358,7 @@ def principal_moves(n: int) -> list[tuple[int, ...]]:
             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def canonical_representative(points: list[Monomial]) -> Monomial:
+def canonical_representative(points: list[tuple[int, ...]]) -> tuple[int, ...]:
     """First point in dictionary order on variable strings.
 
     Reading a monomial as its sorted variable sequence, the dictionary
@@ -362,7 +367,7 @@ def canonical_representative(points: list[Monomial]) -> Monomial:
     """
     if not points:
         raise ValueError("empty point list")
-    return max(points, key=lambda m: m.exps)
+    return max(points)
 
 
 def degrees_up_to(n: int, bound: int):
@@ -397,12 +402,12 @@ def hilbert_table(n: int, max_sum: int):
         yield b, len(raw), classes, is_saturated_degree(n, b)
 
 
-def fiber_classes(n: int, b) -> list[list[Monomial]]:
+def fiber_classes(n: int, b) -> list[list[tuple[int, ...]]]:
     """Fiber of b grouped by class key; classes ordered by first member."""
-    grouped: dict[int, list[Monomial]] = {}
+    grouped: dict[int, list[tuple[int, ...]]] = {}
     for u in enumerate_fiber(n, b):
-        grouped.setdefault(off_diagonal_parities(u.exps, n), []).append(u)
-    return sorted(grouped.values(), key=lambda g: g[0].exps)
+        grouped.setdefault(off_diagonal_parities(u, n), []).append(u)
+    return sorted(grouped.values())
 
 
 __all__ = [

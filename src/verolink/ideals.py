@@ -4,16 +4,16 @@ from __future__ import annotations
 
 from .exactlin import IntMatrix
 from .poly import SparsePoly
-from .veronese import (Monomial, check_size, column_position, minor_vector,
+from .veronese import (check_size, column_position, minor_vector,
                        variable_multisets)
 
 
 def binomial_from_vector(n: int, v: tuple[int, ...]) -> SparsePoly:
     """The pure difference binomial x^(v+) - x^(v-) of a signed exponent
     vector, dense in the column order of ``variable_multisets(2, n)``."""
-    plus = Monomial(n, tuple(x if x > 0 else 0 for x in v))
-    minus = Monomial(n, tuple(-x if x < 0 else 0 for x in v))
-    return SparsePoly.monomial(plus) - SparsePoly.monomial(minus)
+    plus = tuple(x if x > 0 else 0 for x in v)
+    minus = tuple(-x if x < 0 else 0 for x in v)
+    return SparsePoly(n, {plus: 1}) - SparsePoly(n, {minus: 1})
 
 
 def principal_minor_gens(n: int) -> list[SparsePoly]:
@@ -51,12 +51,12 @@ def veronese_minor_gens(n: int) -> list[SparsePoly]:
                         continue
                     if g.sorted_terms()[0][1] < 0:
                         g = -g
-                    fingerprint = tuple(sorted((m.exps, c) for m, c in g.terms.items()))
+                    fingerprint = tuple(sorted(g.terms.items()))
                     if fingerprint in seen:
                         continue
                     seen.add(fingerprint)
                     out.append(g)
-    out.sort(key=lambda g: g.sorted_terms()[0][0].exps, reverse=True)
+    out.sort(key=lambda g: g.sorted_terms()[0][0], reverse=True)
     return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .fibers import _class_maxima, minimal_saturated_fibers
 from .ideals import principal_minor_gens
 from .poly import SparsePoly, normal_form, twist, twisting_from_character
-from .veronese import Monomial, pair_count
+from .veronese import monomial, pair_count
 
 
 def zonotope_poly(n: int) -> SparsePoly:
@@ -29,8 +29,8 @@ def zonotope_poly(n: int) -> SparsePoly:
     result = SparsePoly.constant(n, 1)
     for i in range(1, n):
         for j in range(i + 1, n):
-            factor = (SparsePoly.monomial(Monomial.from_pairs(n, {(i, j): 1, (n, n): 1}))
-                      + SparsePoly.monomial(Monomial.from_pairs(n, {(i, n): 1, (j, n): 1})))
+            factor = SparsePoly(n, {monomial(n, {(i, j): 1, (n, n): 1}): 1,
+                                    monomial(n, {(i, n): 1, (j, n): 1}): 1})
             result = result * factor
     return result
 
@@ -66,7 +66,7 @@ def saturated_fiber_poly(n: int, i: int) -> SparsePoly:
         if not 1 <= i <= n:
             raise ValueError(f"index {i} outside [1, {n}]")
         b = degrees[i - 1]
-    return SparsePoly(n, {Monomial(n, e): 1 for e in _class_maxima(n, b).values()})
+    return SparsePoly(n, dict.fromkeys(_class_maxima(n, b).values(), 1))
 
 
 def check_saturation_identity(n: int) -> bool:
@@ -82,10 +82,10 @@ def check_saturation_identity(n: int) -> bool:
     s = saturation_exponent(n)
     zono = zonotope_poly(n)
     if n % 2 == 0:
-        shift = SparsePoly.monomial(Monomial.from_pairs(n, {(n, n): s}))
+        shift = SparsePoly(n, {monomial(n, {(n, n): s}): 1})
         return normal_form(shift * saturated_fiber_poly(n, 1)) == normal_form(zono)
     for i in range(1, n + 1):
-        shift = SparsePoly.monomial(Monomial.from_pairs(n, {(n, n): s + 1}))
+        shift = SparsePoly(n, {monomial(n, {(n, n): s + 1}): 1})
         lhs = normal_form(shift * saturated_fiber_poly(n, i))
         rhs = normal_form(SparsePoly.variable(n, i, n) * zono)
         if lhs != rhs:

@@ -1,7 +1,9 @@
 """Sparse multivariate polynomials over the rationals, with twistings.
 
 Coefficients are exact ``fractions.Fraction`` values and the ground
-field is fixed to the rationals throughout.  Terms are rendered in a
+field is fixed to the rationals throughout.  A term's monomial is its
+dense exponent tuple in the column order of ``variable_multisets(2,
+n)``, and n is kept once, on the polynomial.  Terms are rendered in a
 fixed order (descending dense exponent tuples, which is ascending
 dictionary order on variable strings) so printed output is bit-stable
 and re-parseable under the grammar::
@@ -24,45 +26,48 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, itemgetter
 
 from .fibers import class_key, off_diagonal_parities
-from .veronese import (Monomial, column_position, pair, pair_count,
-                       variable_multisets)
+from .veronese import (column_position, monomial, monomial_degree,
+                       monomial_text, pair, pair_count, variable_multisets)
 
 
 class SparsePoly:
-    """Finite map from weight-2 monomials to nonzero rational coefficients."""
+    """Finite map from weight-2 monomials to nonzero rational coefficients.
+
+    ``terms`` maps dense exponent tuples, one entry per column of
+    ``variable_multisets(2, n)``, to ``Fraction`` coefficients.  A term
+    of another length raises ValueError, and so does a negative
+    exponent; zero coefficients are dropped.
+    """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        clean: dict[Monomial, Fraction] = {}
-        for m, c in (terms or {}).items():
-            if m.n != n:
-                raise ValueError("term over a different variable set")
-            c = Fraction(c)
-            if c:
-                clean[m] = c
+        clean: dict[tuple[int, ...], Fraction] = {}
+        if terms:
+            size = len(variable_multisets(2, n))
+            for m, c in terms.items():
+                if len(m) != size:
+                    raise ValueError("term over a different variable set")
+                if min(m) < 0:
+                    raise ValueError("negative exponent")
+                c = Fraction(c)
+                if c:
+                    clean[m] = c
         self.terms = clean
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int) -> "SparsePoly":
-        return cls(n)
-
-    @classmethod
     def constant(cls, n: int, c) -> "SparsePoly":
-        return cls(n, {Monomial.one(n): Fraction(c)})
-
-    @classmethod
-    def monomial(cls, m: Monomial, c=1) -> "SparsePoly":
-        return cls(m.n, {m: Fraction(c)})
+        return cls(n, {monomial(n, {}): c})
 
     @classmethod
     def variable(cls, n: int, i: int, j: int) -> "SparsePoly":
-        return cls.monomial(Monomial.variable(n, i, j))
+        return cls(n, {monomial(n, {(i, j): 1}): 1})
 
     # -- ring structure ----------------------------------------------
 
@@ -85,10 +90,10 @@ class SparsePoly:
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1 * m2
+                m = tuple(map(add, m1, m2))
                 out[m] = out.get(m, 0) + c1 * c2
         return SparsePoly(self.n, out)
 
@@ -102,9 +107,9 @@ class SparsePoly:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in output order: descending dense exponent tuples."""
-        return sorted(self.terms.items(), key=lambda t: t[0].exps, reverse=True)
+        return sorted(self.terms.items(), key=itemgetter(0), reverse=True)
 
     def __repr__(self):
         return render_poly(self)
@@ -114,7 +119,7 @@ def multidegree(p: SparsePoly) -> tuple[int, ...]:
     """The common multidegree of all terms of a homogeneous polynomial."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no multidegree")
-    degs = {m.degree() for m in p.terms}
+    degs = {monomial_degree(m, p.n) for m in p.terms}
     if len(degs) > 1:
         raise ValueError(f"terms of distinct multidegrees: {sorted(degs)}")
     return next(iter(degs))
@@ -144,7 +149,7 @@ def twist(p: SparsePoly, flips: int) -> SparsePoly:
     _check_mask(flips, len(variable_multisets(2, p.n)), "twisting")
     out = {}
     for m, c in p.terms.items():
-        odd = sum((e & 1) << k for k, e in enumerate(m.exps))
+        odd = sum((e & 1) << k for k, e in enumerate(m))
         out[m] = character_sign(flips, odd) * c
     return SparsePoly(p.n, out)
 
@@ -208,21 +213,21 @@ def character_sign(mask: int, parities: int) -> int:
     return -1 if (mask & parities).bit_count() & 1 else 1
 
 
-def character_value(mask: int, u: Monomial, u0: Monomial) -> int:
+def character_value(mask: int, u: tuple[int, ...], u0: tuple[int, ...],
+                    n: int) -> int:
     """Value of the character on the difference u - u0 (two points of one
-    fiber).
+    fiber, as dense exponent tuples over n indices).
 
     Only the parities of the off-diagonal off-last-column entries of
     u - u0 matter, because those entries are exactly the coordinates of
     the difference in the kernel-lattice basis.
     """
-    if u0.n != u.n:
+    if len(u0) != len(u):
         raise ValueError("character over a different variable set")
-    _check_mask(mask, pair_count(u.n - 1), "character")
-    if u.degree() != u0.degree():
+    _check_mask(mask, pair_count(n - 1), "character")
+    if monomial_degree(u, n) != monomial_degree(u0, n):
         raise ValueError("monomials lie in different fibers")
-    diff = (off_diagonal_parities(u.exps, u.n)
-            ^ off_diagonal_parities(u0.exps, u.n))
+    diff = off_diagonal_parities(u, n) ^ off_diagonal_parities(u0, n)
     return character_sign(mask, diff)
 
 
@@ -237,7 +242,7 @@ def _class_sums(p: SparsePoly) -> dict[tuple[tuple[int, ...], int], Fraction]:
     """
     sums: dict[tuple[tuple[int, ...], int], Fraction] = {}
     for m, c in p.terms.items():
-        key = class_key(m)
+        key = class_key(m, p.n)
         sums[key] = sums.get(key, 0) + c
     return {key: s for key, s in sums.items() if s}
 
@@ -296,12 +301,12 @@ def render_poly(p: SparsePoly) -> str:
     pieces = []
     for k, (m, c) in enumerate(p.sorted_terms()):
         mag = abs(c)
-        if m.is_one():
+        if not any(m):
             text = str(mag)
         elif mag == 1:
-            text = str(m)
+            text = monomial_text(m, p.n)
         else:
-            text = f"{mag}*{m}"
+            text = f"{mag}*{monomial_text(m, p.n)}"
         if k == 0:
             pieces.append(text if c > 0 else "-" + text)
         else:
@@ -382,12 +387,12 @@ def parse_poly(text: str, n: int | None = None) -> SparsePoly:
     elif indices and max(indices) > n:
         raise ValueError(f"variable index {max(indices)} exceeds n={n}")
 
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[tuple[int, ...], Fraction] = {}
     for s, c, vs in raw_terms:
         exponents: dict[tuple[int, int], int] = {}
         for p_ in vs:
             exponents[p_] = exponents.get(p_, 0) + 1
-        m = Monomial.from_pairs(n, exponents)
+        m = monomial(n, exponents)
         terms[m] = terms.get(m, 0) + s * (1 if c is None else c)
     return SparsePoly(n, terms)
 

@@ -45,8 +45,8 @@ def _prepared(gens: list[SparsePoly], n: int) -> list[tuple]:
     prepared = []
     for g in gens:
         multidegree(g)
-        u0 = next(iter(g.terms)).exps
-        prepared.append((u0, [(tuple(map(sub, m.exps, u0)), c) for m, c in
+        u0 = next(iter(g.terms))
+        prepared.append((u0, [(tuple(map(sub, m, u0)), c) for m, c in
                               zip(g.terms, clear_denominators(g.terms.values()))]))
     return prepared
 

@@ -8,15 +8,18 @@ variable); weight d enters only through the grading matrix and its
 lattice.  All dense vectors in the package use one fixed column order:
 multisets sorted lexicographically, e.g. (1,1), (1,2), (1,3), (2,2),
 (2,3), (3,3) for d = 2, n = 3.
+
+A monomial is its dense exponent tuple in that order for d = 2;
+``monomial`` builds one from pair exponents, ``monomial_degree`` reads
+its multidegree and ``monomial_text`` writes it as ``x12*x13``.  The
+variable count n is not part of the tuple: it lives on the polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from operator import add
 
 from .errors import SizeCapExceeded
 from .exactlin import IntMatrix
@@ -84,69 +87,39 @@ def veronese_matrix(d: int, n: int) -> IntMatrix:
     return IntMatrix([[ms.count(i) for ms in cols] for i in range(1, n + 1)])
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Exponent vector of a monomial, dense in the fixed column order.
+def monomial(n: int, exponents: dict[tuple[int, int], int]) -> tuple[int, ...]:
+    """Dense exponent tuple of the monomial prod x_ij^e over the pairs
+    (i, j) of ``exponents``; (i, j) and (j, i) name the same variable,
+    and their exponents add."""
+    pos = column_position(2, n)
+    exps = [0] * len(pos)
+    for (i, j), e in exponents.items():
+        exps[pos[pair(i, j)]] += e
+    return tuple(exps)
 
-    All exponents are nonnegative; ``exps[k]`` is the exponent of the
-    k-th pair variable of ``variable_multisets(2, n)``.
-    """
 
-    n: int
-    exps: tuple[int, ...]
+def monomial_degree(exps: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Multidegree of a monomial under the Veronese grading: the
+    row-count vector ``veronese_matrix(2, n) @ exps``."""
+    supports = column_supports(2, n)
+    if len(exps) != len(supports):
+        raise ValueError("monomial over a different variable set")
+    deg = [0] * n
+    for sup, e in zip(supports, exps):
+        if e:
+            for row, mult in sup:
+                deg[row - 1] += mult * e
+    return tuple(deg)
 
-    def __post_init__(self):
-        if len(self.exps) != len(variable_multisets(2, self.n)):
-            raise ValueError("exponent vector length does not match n")
-        if min(self.exps) < 0:
-            raise ValueError("negative exponent")
 
-    @classmethod
-    def one(cls, n: int) -> "Monomial":
-        return cls(n, (0,) * len(variable_multisets(2, n)))
-
-    @classmethod
-    def variable(cls, n: int, i: int, j: int) -> "Monomial":
-        return cls.from_pairs(n, {pair(i, j): 1})
-
-    @classmethod
-    def from_pairs(cls, n: int, exponents: dict[tuple[int, int], int]) -> "Monomial":
-        pos = column_position(2, n)
-        exps = [0] * len(pos)
-        for (i, j), e in exponents.items():
-            exps[pos[pair(i, j)]] += e
-        return cls(n, tuple(exps))
-
-    def support(self):
-        """Yield (multiset, exponent) over nonzero positions."""
-        cols = variable_multisets(2, self.n)
-        for k, e in enumerate(self.exps):
-            if e:
-                yield cols[k], e
-
-    def degree(self) -> tuple[int, ...]:
-        """Multidegree under the Veronese grading (row-count vector)."""
-        deg = [0] * self.n
-        supports = column_supports(2, self.n)
-        for k, e in enumerate(self.exps):
-            if e:
-                for row, mult in supports[k]:
-                    deg[row - 1] += mult * e
-        return tuple(deg)
-
-    def is_one(self) -> bool:
-        return all(e == 0 for e in self.exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.n != other.n:
-            raise ValueError("monomials over different variable sets")
-        return Monomial(self.n, tuple(map(add, self.exps, other.exps)))
-
-    def __str__(self):
-        parts = []
-        for ms, e in self.support():
-            parts.extend(["x" + "".join(str(i) for i in ms)] * e)
-        return "*".join(parts) if parts else "1"
+def monomial_text(exps: tuple[int, ...], n: int) -> str:
+    """Text form: each variable ``x`` i j repeated by its exponent,
+    joined by ``*`` in column order, e.g. ``x12*x12*x33``; ``1`` when
+    every exponent is zero."""
+    parts = []
+    for (i, j), e in zip(variable_multisets(2, n), exps):
+        parts += [f"x{i}{j}"] * e
+    return "*".join(parts) or "1"
 
 
 def minor_vector(i: int, j: int, k: int, l: int, n: int) -> tuple[int, ...]:

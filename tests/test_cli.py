@@ -15,7 +15,7 @@ import verolink
 from verolink.cli import main, poly_to_json
 from verolink.link import saturated_fiber_poly, zonotope_poly
 from verolink.poly import SparsePoly, parse_poly, render_poly
-from verolink.veronese import Monomial
+from verolink.veronese import monomial
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -304,7 +304,8 @@ def test_non_integer_size_cap_is_a_usage_error(capsys, monkeypatch):
 
 # 1,0,0 has an odd sum, so its fiber is empty and has no point to count.
 @pytest.mark.parametrize("value, degree", [("abc", "1,0,0"), ("-5", "2,1,1"),
-                                           ("-5", "1,0,0")])
+                                           ("-5", "1,0,0"), ("1_0", "2,2,2"),
+                                           ("\u0661\u0660", "2,2,2")])
 def test_bad_size_cap_is_a_usage_error(capsys, monkeypatch, value, degree):
     monkeypatch.setenv("VLAB_SIZE_CAP", value)
     code, out, err = run(capsys, ["fiber", "-n", "3", "-b", degree])
@@ -463,8 +464,8 @@ def test_bound_without_degrees_is_a_usage_error(capsys, command):
 def read_json_poly(data, n):
     """The polynomial of a JSON term array, read without ``poly_to_json``."""
     return SparsePoly(n, {
-        Monomial.from_pairs(n, {(int(k[0]), int(k[1])): e
-                                for k, e in term["exp"].items()}):
+        monomial(n, {(int(k[0]), int(k[1])): e
+                     for k, e in term["exp"].items()}):
         Fraction(term["coeff"]) for term in data})
 
 

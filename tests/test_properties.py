@@ -27,8 +27,8 @@ from verolink.fibers import (_class_maxima, _fibers_of_sum, _raw_fiber,
 from verolink.link import link_generators
 from verolink.poly import (SparsePoly, character_pairs, character_value,
                            normal_form, parse_poly, render_poly, twist)
-from verolink.veronese import (Monomial, column_position, pair_count,
-                               variable_multisets)
+from verolink.veronese import (column_position, monomial_degree, pair_count,
+                               variable_multisets, veronese_matrix)
 from verolink.verify import (_decide_degree, _prepared, _split_edges,
                              ideal_degree_piece, subintersection_degree_piece)
 
@@ -46,7 +46,7 @@ def monomials(draw, n, max_vars=6):
     exps = [0] * len(cols)
     for k in draw(st.lists(st.integers(0, len(cols) - 1), max_size=max_vars)):
         exps[k] += 1
-    return Monomial(n, tuple(exps))
+    return tuple(exps)
 
 
 coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -100,10 +100,10 @@ def characters(n):
     return st.integers(0, (1 << pair_count(n - 1)) - 1)
 
 
-def parity_tuple(m: Monomial) -> tuple[int, ...]:
+def parity_tuple(m: tuple[int, ...], n: int) -> tuple[int, ...]:
     """The class parities in character-pair order, read pair by pair."""
-    pos = column_position(2, m.n)
-    return tuple(m.exps[pos[p]] & 1 for p in character_pairs(m.n))
+    pos = column_position(2, n)
+    return tuple(m[pos[p]] & 1 for p in character_pairs(n))
 
 
 @PROPERTY
@@ -111,13 +111,26 @@ def parity_tuple(m: Monomial) -> tuple[int, ...]:
 def test_class_key_of_a_product_adds_degrees_and_xors_parities(data):
     n = data.draw(sizes)
     m1, m2 = data.draw(monomials(n)), data.draw(monomials(n))
-    (d1, p1), (d2, p2) = class_key(m1), class_key(m2)
-    d, p = class_key(m1 * m2)
+    product = tuple(a + b for a, b in zip(m1, m2))
+    (d1, p1), (d2, p2) = class_key(m1, n), class_key(m2, n)
+    d, p = class_key(product, n)
     assert d == tuple(a + b for a, b in zip(d1, d2))
     assert p == p1 ^ p2
     # Bit j of the mask is the j-th pair of ``character_pairs``.
     assert [p >> j & 1 for j in range(pair_count(n - 1))] \
-        == list(parity_tuple(m1 * m2))
+        == list(parity_tuple(product, n))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.data())
+def test_degree_is_the_grading_matrix_product(data):
+    # The round trip of test_fibers at every n = 1..8, against the
+    # grading matrix times the exponent vector, an independent route.
+    n = data.draw(st.integers(1, 8))
+    size = len(variable_multisets(2, n))
+    exps = tuple(data.draw(st.lists(st.integers(0, 5), min_size=size,
+                                    max_size=size)))
+    assert monomial_degree(exps, n) == veronese_matrix(2, n).mul_vector(exps)
 
 
 @PROPERTY
@@ -168,20 +181,20 @@ def test_parse_accepts_exactly_the_grammar(text):
 def test_character_value_is_the_sign_product_over_differing_parities(data):
     n = data.draw(sizes)
     u = data.draw(monomials(n))
-    u0 = data.draw(st.sampled_from(enumerate_fiber(n, u.degree())))
+    u0 = data.draw(st.sampled_from(enumerate_fiber(n, monomial_degree(u, n))))
     eps = data.draw(characters(n))
     expected = 1
-    for k, (a, b) in enumerate(zip(parity_tuple(u), parity_tuple(u0))):
+    for k, (a, b) in enumerate(zip(parity_tuple(u, n), parity_tuple(u0, n))):
         if a != b and eps >> k & 1:
             expected = -expected
-    assert character_value(eps, u, u0) == expected
+    assert character_value(eps, u, u0, n) == expected
 
 
 @PROPERTY
 @given(st.data())
 def test_normal_form_is_linear(data):
     n = data.draw(sizes)
-    b = data.draw(monomials(n)).degree()
+    b = monomial_degree(data.draw(monomials(n)), n)
     f, g = (data.draw(homogeneous_polys(n, b)) for _ in range(2))
     a = data.draw(coeffs)
     expected = dict(normal_form(g))

@@ -13,7 +13,7 @@ from verolink.fibers import _raw_fiber, minimal_saturated_fibers
 from verolink.ideals import generator_lattice, principal_minor_gens
 from verolink.link import link_generators, saturated_fiber_poly
 from verolink.poly import SparsePoly, all_characters, parse_poly
-from verolink.veronese import Monomial, column_position, veronese_matrix
+from verolink.veronese import column_position, monomial, veronese_matrix
 from verolink.verify import (colon_membership, group_algebra_subintersection,
                              higher_torsion, ideal_degree_piece,
                              subintersection_degree_piece,
@@ -252,14 +252,14 @@ def test_random_span_members_pass_all_characters():
     omitted = 0
     gens = link_generators(n, omitted)
     for _ in range(10):
-        combo = SparsePoly.zero(n)
+        combo = SparsePoly(n)
         for g in gens:
             exponents = {}
             for _ in range(rng.randint(0, 2)):
                 i, j = sorted((rng.randint(1, n), rng.randint(1, n)))
                 exponents[(i, j)] = exponents.get((i, j), 0) + 1
-            combo = combo + SparsePoly.monomial(
-                Monomial.from_pairs(n, exponents), rng.randint(-2, 2)) * g
+            combo = combo + SparsePoly(
+                n, {monomial(n, exponents): rng.randint(-2, 2)}) * g
         for eps in all_characters(n):
             if eps != omitted:
                 assert in_twisted_veronese(combo, eps)
