@@ -134,30 +134,40 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_fiber(args) -> int:
+    # Only the form that is printed is built, and text lines are made
+    # as they are printed; the fiber is complete before either, so a
+    # size stop prints nothing.
     b = parse_degree(args.b)
     if args.classes:
-        rendered = [(cid, monomial_text(m, args.n)) for cid, cls in
-                    enumerate(fiber_classes(args.n, b)) for m in cls]
-        lines = [f"{cid}\t{text}" for cid, text in rendered]
-        payload = [{"class": cid, "monomial": text} for cid, text in rendered]
+        rendered = ((cid, monomial_text(m, args.n)) for cid, cls in
+                    enumerate(fiber_classes(args.n, b)) for m in cls)
+        if args.json:
+            _emit(args, [{"class": cid, "monomial": text}
+                         for cid, text in rendered], ())
+        else:
+            _emit(args, None, (f"{cid}\t{text}" for cid, text in rendered))
     else:
-        lines = [monomial_text(m, args.n) for m in enumerate_fiber(args.n, b)]
-        payload = [{"monomial": text} for text in lines]
-    _emit(args, payload, lines)
+        rendered = (monomial_text(m, args.n) for m in enumerate_fiber(args.n, b))
+        if args.json:
+            _emit(args, [{"monomial": text} for text in rendered], ())
+        else:
+            _emit(args, None, rendered)
     return 0
 
 
 def cmd_hilbert(args) -> int:
     rows = list(hilbert_table(args.n, args.max_sum))
+    if args.json:
+        _emit(args, [{"b": list(b), "fiber": fiber, "classes": classes,
+                      "saturated": saturated}
+                     for b, fiber, classes, saturated in rows], ())
+        return 0
     lines = ["#degree\tfiber\tclasses\tsaturated"]
-    payload = []
     for b, fiber, classes, saturated in rows:
         lines.append("{}\t{}\t{}\t{}".format(
             ",".join(str(x) for x in b), fiber, classes,
             "yes" if saturated else "no"))
-        payload.append({"b": list(b), "fiber": fiber, "classes": classes,
-                        "saturated": saturated})
-    _emit(args, payload, lines)
+    _emit(args, None, lines)
     return 0
 
 

@@ -49,7 +49,7 @@ def size_cap() -> int:
 
 @lru_cache(maxsize=None)
 def _fiber_plan(d: int, n: int):
-    """Static data for the fiber DFS over one variable set.
+    """Static data for the column-by-column DFS of ``_class_maxima``.
 
     Returns (supports, finishing) where supports[c] lists the
     (row, multiplicity) pairs of column c and finishing[c] the rows
@@ -66,14 +66,46 @@ def _fiber_plan(d: int, n: int):
     return supports, finishing
 
 
-def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All nonnegative solutions of V @ u == b as dense exponent tuples.
+@lru_cache(maxsize=None)
+def _fiber_blocks(d: int, n: int):
+    """The columns grouped into blocks by their least row, for the
+    search of ``_raw_fiber``.
 
-    Depth-first over the columns in lexicographic order, so the output
-    comes out sorted ascending; any residual going negative prunes the
-    branch, and the exponent of the last column touching a row is
-    forced rather than searched.  Raises SizeCapExceeded once the
-    solution count passes ``size_cap()``.
+    Block i holds the columns whose multiset starts with i; no later
+    block touches row i, so its last column is the last to touch it.
+    Per block: the (row index, multiplicity) pairs of each column, row i
+    first, and whether its suffix lists are kept.  Two searches reach
+    one residual before block i only through a kernel vector of V on
+    the earlier columns, which exists once they outnumber the n rows;
+    before that, as at blocks 0 and 1 for d = 2, every residual is
+    reached once and nothing is kept.
+    """
+    supports = column_supports(d, n)
+    multisets = variable_multisets(d, n)
+    blocks, before = [], 0
+    for row in range(1, n + 1):
+        cols = tuple(tuple((r - 1, m) for r, m in supports[c])
+                     for c, ms in enumerate(multisets) if ms[0] == row)
+        blocks.append((cols, before > n))
+        before += len(cols)
+    return tuple(blocks)
+
+
+def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All nonnegative solutions of V @ u == b as dense exponent tuples,
+    sorted ascending, in a fresh list.
+
+    The columns fall into blocks by their least row (``_fiber_blocks``).
+    A block uses up its row, so the points the later blocks add depend
+    only on the residual of the later rows: the suffix list of that
+    residual, built once and kept where two searches can meet it.  Each
+    block is searched depth-first in column order, which keeps the
+    output sorted; a branch dies when a residual goes negative or more
+    of the block's row is left than its later columns can take, which
+    forces the exponent of its last column.  A suffix list is no longer
+    than the fiber, so each counts against ``size_cap()`` as it grows,
+    and SizeCapExceeded is raised exactly when the fiber has more points
+    than the cap.
     """
     check_size(d, n)
     limit = size_cap()
@@ -83,43 +115,66 @@ def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
         return []
     if sum(b) % d:
         return []
-    supports, finishing = _fiber_plan(d, n)
-    ncols = len(supports)
-    residual = list(b)
-    exps = [0] * ncols
-    out: list[tuple[int, ...]] = []
+    blocks = _fiber_blocks(d, n)
+    memo: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
 
-    def rec(c: int) -> None:
-        if c == ncols:
-            if len(out) >= limit:
+    def block_points(k: int, residual: list[int]):
+        """(exponents, residual left) for each point of block k."""
+        cols = blocks[k][0]
+        last = len(cols) - 1
+        # room[p]: an upper bound on the share of row k that the columns
+        # after p can take.
+        room, acc = [0] * len(cols), 0
+        for p in range(last, 0, -1):
+            room[p] = acc
+            sup = cols[p]
+            take = residual[k] // sup[0][1]
+            for r, m in sup[1:]:
+                if residual[r] // m < take:
+                    take = residual[r] // m
+            acc += sup[0][1] * take
+        room[0] = acc
+        points = []
+        exps = [0] * len(cols)
+
+        def rec(p: int) -> None:
+            sup = cols[p]
+            own = sup[0][1]
+            lo = max(0, -((room[p] - residual[k]) // own))
+            hi = residual[k] // own
+            for r, m in sup[1:]:
+                if residual[r] // m < hi:
+                    hi = residual[r] // m
+            for e in range(lo, hi + 1):
+                for r, m in sup:
+                    residual[r] -= m * e
+                exps[p] = e
+                if p == last:
+                    points.append((tuple(exps), tuple(residual)))
+                else:
+                    rec(p + 1)
+                for r, m in sup:
+                    residual[r] += m * e
+
+        rec(0)
+        return points
+
+    def suffixes(k: int, residual: tuple[int, ...]) -> list[tuple[int, ...]]:
+        keep = blocks[k][1]
+        if keep and (k, residual) in memo:
+            return memo[k, residual]
+        out: list[tuple[int, ...]] = []
+        for exps, left in block_points(k, list(residual)):
+            tails = suffixes(k + 1, left) if k + 1 < n else [()]
+            out.extend(map(exps.__add__, tails))
+            if len(out) > limit:
                 raise SizeCapExceeded(
                     f"fiber of {b} exceeds the size cap {limit}")
-            out.append(tuple(exps))
-            return
-        sup = supports[c]
-        hi = min(residual[row - 1] // mult for row, mult in sup)
-        lo = 0
-        for row in finishing[c]:
-            mult = next(m for r, m in sup if r == row)
-            if residual[row - 1] % mult:
-                return
-            forced = residual[row - 1] // mult
-            if forced < lo or forced > hi:
-                return
-            lo = hi = forced
-        for e in range(lo, hi + 1):
-            if e:
-                for row, mult in sup:
-                    residual[row - 1] -= mult * e
-            exps[c] = e
-            rec(c + 1)
-            exps[c] = 0
-            if e:
-                for row, mult in sup:
-                    residual[row - 1] += mult * e
+        if keep:
+            memo[k, residual] = out
+        return out
 
-    rec(0)
-    return out
+    return suffixes(0, tuple(b))
 
 
 def enumerate_fiber(n: int, b) -> list[tuple[int, ...]]:
@@ -184,12 +239,13 @@ def _class_maxima(n: int, b: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     """The largest exponent tuple of each parity class in the fiber of b,
     keyed by its ``off_diagonal_parities``, without enumerating the fiber.
 
-    The DFS of ``_raw_fiber`` with exponents tried from high to low, so
-    points come in descending order and the first of each parity mask is
-    its class maximum.  The parity columns come in pair order, bit k at
-    the k-th pair, so a node has fixed the low bits of the mask; it is
-    skipped once every completion of those bits has been found.  Raises
-    SizeCapExceeded once the visited nodes pass ``size_cap()``.
+    A DFS over the columns in order with exponents tried from high to
+    low, so points come in descending order and the first of each
+    parity mask is its class maximum.  The parity columns come in pair
+    order, bit k at the k-th pair, so a node has fixed the low bits of
+    the mask; it is skipped once every completion of those bits has
+    been found.  Raises SizeCapExceeded once the visited nodes pass
+    ``size_cap()``.
     """
     check_size(2, n)
     limit = size_cap()
@@ -253,9 +309,13 @@ def _class_maxima(n: int, b: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
 def off_diagonal_parities(exps: tuple[int, ...], n: int) -> int:
     """Exponents of the pairs {i < j <= n-1} in dense weight-2 ``exps``
     modulo two, as a bit mask: bit k is the k-th pair in lexicographic
-    order, the order of the bits of a sign character (``character_pairs``)."""
+    order, the order of the bits of a sign character (``character_pairs``).
+    A tuple of the wrong length for n raises ValueError."""
+    positions = _parity_positions(n)
+    if len(exps) != comb(n + 1, 2):
+        raise ValueError("monomial over a different variable set")
     mask = 0
-    for p in _parity_positions(n):
+    for p in positions:
         mask = mask << 1 | exps[p] & 1
     return mask
 

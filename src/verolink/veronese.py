@@ -112,13 +112,20 @@ def monomial_degree(exps: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(deg)
 
 
+@lru_cache(maxsize=None)
+def _variable_names(n: int) -> tuple[str, ...]:
+    """``x`` i j for each weight-2 column (i, j), in column order."""
+    return tuple(f"x{i}{j}" for i, j in variable_multisets(2, n))
+
+
 def monomial_text(exps: tuple[int, ...], n: int) -> str:
     """Text form: each variable ``x`` i j repeated by its exponent,
     joined by ``*`` in column order, e.g. ``x12*x12*x33``; ``1`` when
     every exponent is zero."""
     parts = []
-    for (i, j), e in zip(variable_multisets(2, n), exps):
-        parts += [f"x{i}{j}"] * e
+    for name, e in zip(_variable_names(n), exps):
+        if e:
+            parts += [name] * e
     return "*".join(parts) or "1"
 
 

@@ -328,6 +328,18 @@ def test_every_enumerating_command_obeys_the_size_cap(capsys, monkeypatch, argv)
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap, code", [("43580", 3), ("43581", 0)])
+def test_the_largest_benchmark_fiber_meets_the_cap_at_its_size(
+        capsys, monkeypatch, cap, code):
+    monkeypatch.setenv("VLAB_SIZE_CAP", cap)
+    got, out, err = run(capsys, ["fiber", "-n", "6", "-b", "4,4,4,4,4,4"])
+    assert got == code
+    if code:
+        assert out == "" and err.endswith("exceeds the size cap 43580\n")
+    else:
+        assert out.count("\n") == 43581 and err == ""
+
+
 def test_the_verify_size_cap_counts_the_largest_level(capsys, monkeypatch):
     # Sum 6 at n = 4 has binom(12, 3) = 220 monomials, its largest fiber 6.
     argv = ["verify-decomp", "-n", "4", "--bound", "6"]
@@ -510,9 +522,10 @@ def test_text_output_reparses(capsys):
     assert render_poly(parse_poly(out, n=4)) == out.strip()
 
 # SHA-256 of the stdout of ``python -m verolink.cli ARGS``, pinned so
-# that a change to the verification route, or to the lattice and grading
-# values behind ``grading``, ``basis`` and ``torsion``, cannot change what
-# is printed.
+# that a change to the verification route, to the lattice and grading
+# values behind ``grading``, ``basis`` and ``torsion``, or to the fiber
+# enumeration behind ``fiber`` and ``hilbert``, cannot change what is
+# printed.
 RECORD_STREAM_DIGESTS = {
     "verify-decomp --json -n 4 --bound 10":
         "e6b69ef7c561872bd2e44500ffd48859fe9ae33326c1365fa64d1a65b1709d3d",
@@ -556,6 +569,14 @@ RECORD_STREAM_DIGESTS = {
         "087761396156f2a3f7427134400b5ead1e6b617c6327cb9dec763b3abcebd03f",
     "verify-link -n 8 --bound 4 --omit 12:-":
         "087761396156f2a3f7427134400b5ead1e6b617c6327cb9dec763b3abcebd03f",
+    "fiber -n 5 -b 4,4,3,3,2 --classes":
+        "d691190f8f7e3fc796e9ec42f08d3ebe6df476b5c51b1153018d4ac306e64e36",
+    "fiber --json -n 4 -b 4,4,2,2 --classes":
+        "001f00061c5ccfbe6b6656abce0394831e76cdc3907679135715c66baad48ec2",
+    "hilbert -n 5 --max-sum 8":
+        "c398d43e54943bfb24e5624d2279675fbdb24d9541d6aaa3a22ebef3238034f2",
+    "hilbert --json -n 4 --max-sum 6":
+        "03471eaf1b49a568af1b2322c9d53ed117ba87615d00dfe5c7e695de42ca8e08",
 }
 
 

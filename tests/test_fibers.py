@@ -1,8 +1,8 @@
 """Unit tests for fiber enumeration and equivalence classes.
 
 The brute-force oracle ``box_fiber`` solves the defining linear system
-by scanning a bounding box with itertools, independently of the DFS
-used by the library.
+by scanning a bounding box with itertools, independently of the block
+search used by the library.
 """
 
 import random
@@ -16,7 +16,7 @@ from verolink.fibers import (_fibers_of_sum, _raw_fiber,
                              connectivity_classes, degrees_up_to,
                              enumerate_fiber, fiber_classes,
                              is_saturated_degree, minimal_saturated_fibers,
-                             principal_moves, size_cap)
+                             off_diagonal_parities, principal_moves, size_cap)
 from verolink.veronese import (monomial, monomial_degree, monomial_text,
                                pair_count, veronese_matrix)
 
@@ -64,6 +64,30 @@ def test_fiber_size_cap(monkeypatch):
         enumerate_fiber(4, (4, 4, 4, 4))
 
 
+@pytest.mark.parametrize("d, n, b, size", [(2, 4, (4, 4, 4, 4), 138),
+                                           (2, 6, (4, 4, 4, 4, 4, 4), 43581),
+                                           (2, 6, (6, 0, 2, 4, 0, 2), 44),
+                                           (3, 3, (6, 6, 6), 103),
+                                           (4, 3, (4, 4, 4), 23)])
+def test_the_size_cap_stops_a_fiber_one_point_over(monkeypatch, d, n, b, size):
+    # The suffix lists of the later blocks are counted too; none is
+    # longer than the fiber, so a cap of exactly its size still passes.
+    monkeypatch.setenv("VLAB_SIZE_CAP", str(size))
+    assert len(_raw_fiber(d, n, b)) == size
+    monkeypatch.setenv("VLAB_SIZE_CAP", str(size - 1))
+    with pytest.raises(SizeCapExceeded, match=f"cap {size - 1}$"):
+        _raw_fiber(d, n, b)
+
+
+def test_each_call_returns_a_fresh_list():
+    b = (2, 2, 2, 2, 2)
+    first = _raw_fiber(2, 5, b)
+    expected = list(first)
+    first.clear()
+    assert _raw_fiber(2, 5, b) == expected
+    assert _raw_fiber(2, 5, b) is not _raw_fiber(2, 5, b)
+
+
 def test_size_cap_env_override(monkeypatch):
     monkeypatch.setenv("VLAB_SIZE_CAP", "2")
     with pytest.raises(SizeCapExceeded):
@@ -81,7 +105,7 @@ def raw_fibers_of_sum(n, s):
     return {b: _raw_fiber(2, n, b) for b in degrees_up_to(n, s) if sum(b) == s}
 
 
-@pytest.mark.parametrize("n, top", [(3, 10), (4, 10), (5, 8)])
+@pytest.mark.parametrize("n, top", [(3, 10), (4, 10), (5, 8), (6, 8)])
 def test_fibers_of_a_sum_are_the_raw_fibers_in_order(n, top):
     for s in range(0, top + 1, 2):
         assert _fibers_of_sum(n, s) == raw_fibers_of_sum(n, s)
@@ -126,6 +150,13 @@ def test_class_key_reads_parities():
     b = monomial(3, {(1, 2): 1, (1, 3): 1})
     assert class_key(a, 3) == ((2, 1, 1), 0)
     assert class_key(b, 3) == ((2, 1, 1), 1)
+
+
+@pytest.mark.parametrize("length, n", [(10, 3), (3, 3), (6, 4), (0, 3)])
+def test_parities_refuse_a_tuple_of_another_length(length, n):
+    # 10 entries are n = 4's column count; n = 3 has 6.
+    with pytest.raises(ValueError, match="different variable set"):
+        off_diagonal_parities((1,) * length, n)
 
 
 def test_class_key_even_exponents_agree():

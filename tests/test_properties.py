@@ -1,12 +1,13 @@
 """Property tests of class keys, twisting, the text grammar, characters,
-normal forms, the class search, the level enumeration, the class route
-of the degree check, the Hermite and Smith transforms and the
-shortcuts of the elimination kernels.
+normal forms, fiber enumeration, the class search, the level
+enumeration, the class route of the degree check, the Hermite and Smith
+transforms and the shortcuts of the elimination kernels.
 
 Runs derandomized, so every run draws the same examples; skipped when
 hypothesis is not installed.
 """
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -204,6 +205,31 @@ def test_normal_form_is_linear(data):
     got = normal_form(SparsePoly.constant(n, a) * f + g)
     assert got == expected
     assert all(degree == b for degree, _ in got)
+
+
+# Largest degree entry per (d, n), so that the box of bounded exponent
+# tuples below stays at most a few thousand points.
+FIBER_BOXES = {(2, 1): 8, (2, 2): 6, (2, 3): 4, (2, 4): 2, (3, 1): 9,
+               (3, 2): 6, (3, 3): 3, (4, 1): 8, (4, 2): 5, (4, 3): 3}
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.data())
+def test_the_fiber_is_the_filtered_box_of_exponent_tuples(data):
+    # The block search against a scan of every tuple with each exponent
+    # at most its column's bound, kept when V @ u == b; odd and other
+    # off-monoid sums included.
+    d, n = data.draw(st.sampled_from(sorted(FIBER_BOXES)))
+    top = FIBER_BOXES[d, n]
+    b = tuple(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+    V = veronese_matrix(d, n)
+    bounds = [min(b[r] // c[r] for r in range(n) if c[r]) for c in V.columns()]
+    box = [u for u in itertools.product(*(range(x + 1) for x in bounds))
+           if V.mul_vector(u) == b]
+    fiber = _raw_fiber(d, n, b)
+    assert fiber == box
+    assert all(u < v for u, v in zip(fiber, fiber[1:]))
+    assert all(V.mul_vector(u) == b for u in fiber)
 
 
 @PROPERTY
