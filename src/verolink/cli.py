@@ -134,40 +134,40 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    # Only the form that is printed is built, and text lines are made
-    # as they are printed; the fiber is complete before either, so a
-    # size stop prints nothing.
+    # Only the printed form is built, text lines as they are printed.
+    # The fiber is complete before the first line, so a size stop
+    # prints nothing.
     b = parse_degree(args.b)
     if args.classes:
         rendered = ((cid, monomial_text(m, args.n)) for cid, cls in
                     enumerate(fiber_classes(args.n, b)) for m in cls)
-        if args.json:
-            _emit(args, [{"class": cid, "monomial": text}
-                         for cid, text in rendered], ())
-        else:
-            _emit(args, None, (f"{cid}\t{text}" for cid, text in rendered))
     else:
-        rendered = (monomial_text(m, args.n) for m in enumerate_fiber(args.n, b))
-        if args.json:
-            _emit(args, [{"monomial": text} for text in rendered], ())
-        else:
-            _emit(args, None, rendered)
+        rendered = ((None, monomial_text(m, args.n))
+                    for m in enumerate_fiber(args.n, b))
+    if args.json:
+        print(json.dumps([{"monomial": text} if cid is None else
+                          {"class": cid, "monomial": text}
+                          for cid, text in rendered], sort_keys=True))
+    else:
+        for cid, text in rendered:
+            print(text if cid is None else f"{cid}\t{text}")
     return 0
 
 
 def cmd_hilbert(args) -> int:
+    # Only the printed form is built.
     rows = list(hilbert_table(args.n, args.max_sum))
     if args.json:
-        _emit(args, [{"b": list(b), "fiber": fiber, "classes": classes,
-                      "saturated": saturated}
-                     for b, fiber, classes, saturated in rows], ())
-        return 0
-    lines = ["#degree\tfiber\tclasses\tsaturated"]
-    for b, fiber, classes, saturated in rows:
-        lines.append("{}\t{}\t{}\t{}".format(
-            ",".join(str(x) for x in b), fiber, classes,
-            "yes" if saturated else "no"))
-    _emit(args, None, lines)
+        print(json.dumps([{"b": list(b), "fiber": fiber, "classes": classes,
+                           "saturated": saturated}
+                          for b, fiber, classes, saturated in rows],
+                         sort_keys=True))
+    else:
+        print("#degree\tfiber\tclasses\tsaturated")
+        for b, fiber, classes, saturated in rows:
+            print("{}\t{}\t{}\t{}".format(
+                ",".join(str(x) for x in b), fiber, classes,
+                "yes" if saturated else "no"))
     return 0
 
 

@@ -73,22 +73,14 @@ def _fiber_blocks(d: int, n: int):
 
     Block i holds the columns whose multiset starts with i; no later
     block touches row i, so its last column is the last to touch it.
-    Per block: the (row index, multiplicity) pairs of each column, row i
-    first, and whether its suffix lists are kept.  Two searches reach
-    one residual before block i only through a kernel vector of V on
-    the earlier columns, which exists once they outnumber the n rows;
-    before that, as at blocks 0 and 1 for d = 2, every residual is
-    reached once and nothing is kept.
+    Each column is given as its (row index, multiplicity) pairs, row i
+    first.
     """
     supports = column_supports(d, n)
     multisets = variable_multisets(d, n)
-    blocks, before = [], 0
-    for row in range(1, n + 1):
-        cols = tuple(tuple((r - 1, m) for r, m in supports[c])
-                     for c, ms in enumerate(multisets) if ms[0] == row)
-        blocks.append((cols, before > n))
-        before += len(cols)
-    return tuple(blocks)
+    return tuple(tuple(tuple((r - 1, m) for r, m in supports[c])
+                       for c, ms in enumerate(multisets) if ms[0] == row)
+                 for row in range(1, n + 1))
 
 
 def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -98,14 +90,15 @@ def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
     The columns fall into blocks by their least row (``_fiber_blocks``).
     A block uses up its row, so the points the later blocks add depend
     only on the residual of the later rows: the suffix list of that
-    residual, built once and kept where two searches can meet it.  Each
-    block is searched depth-first in column order, which keeps the
-    output sorted; a branch dies when a residual goes negative or more
-    of the block's row is left than its later columns can take, which
-    forces the exponent of its last column.  A suffix list is no longer
-    than the fiber, so each counts against ``size_cap()`` as it grows,
-    and SizeCapExceeded is raised exactly when the fiber has more points
-    than the cap.
+    residual, built once and kept in a memo for this call.  Each block
+    is searched depth-first in column order, which keeps the output
+    sorted; a branch dies when a residual goes negative or more of the
+    block's row is left than its later columns can take, which forces
+    the exponent of its last column.  Block points are made as they are
+    consumed.  The lists being built hold tails of distinct points of
+    the fiber, so their total counts against ``size_cap()`` as they
+    grow: SizeCapExceeded is raised exactly when the fiber has more
+    points than the cap, as soon as the lists in progress pass it.
     """
     check_size(d, n)
     limit = size_cap()
@@ -119,8 +112,8 @@ def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
     memo: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
 
     def block_points(k: int, residual: list[int]):
-        """(exponents, residual left) for each point of block k."""
-        cols = blocks[k][0]
+        """Yield (exponents, residual left) for each point of block k."""
+        cols = blocks[k]
         last = len(cols) - 1
         # room[p]: an upper bound on the share of row k that the columns
         # after p can take.
@@ -134,10 +127,9 @@ def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
                     take = residual[r] // m
             acc += sup[0][1] * take
         room[0] = acc
-        points = []
         exps = [0] * len(cols)
 
-        def rec(p: int) -> None:
+        def rec(p: int):
             sup = cols[p]
             own = sup[0][1]
             lo = max(0, -((room[p] - residual[k]) // own))
@@ -150,28 +142,32 @@ def _raw_fiber(d: int, n: int, b: tuple[int, ...]) -> list[tuple[int, ...]]:
                     residual[r] -= m * e
                 exps[p] = e
                 if p == last:
-                    points.append((tuple(exps), tuple(residual)))
+                    yield tuple(exps), tuple(residual)
                 else:
-                    rec(p + 1)
+                    yield from rec(p + 1)
                 for r, m in sup:
                     residual[r] += m * e
 
-        rec(0)
-        return points
+        return rec(0)
+
+    # held: the points in the lists of the searches in progress, each
+    # the tail of a different point of the fiber.
+    held = 0
 
     def suffixes(k: int, residual: tuple[int, ...]) -> list[tuple[int, ...]]:
-        keep = blocks[k][1]
-        if keep and (k, residual) in memo:
+        nonlocal held
+        if (k, residual) in memo:
             return memo[k, residual]
         out: list[tuple[int, ...]] = []
         for exps, left in block_points(k, list(residual)):
             tails = suffixes(k + 1, left) if k + 1 < n else [()]
             out.extend(map(exps.__add__, tails))
-            if len(out) > limit:
+            held += len(tails)
+            if held > limit:
                 raise SizeCapExceeded(
                     f"fiber of {b} exceeds the size cap {limit}")
-        if keep:
-            memo[k, residual] = out
+        held -= len(out)
+        memo[k, residual] = out
         return out
 
     return suffixes(0, tuple(b))

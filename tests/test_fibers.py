@@ -6,6 +6,7 @@ search used by the library.
 """
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -70,13 +71,28 @@ def test_fiber_size_cap(monkeypatch):
                                            (3, 3, (6, 6, 6), 103),
                                            (4, 3, (4, 4, 4), 23)])
 def test_the_size_cap_stops_a_fiber_one_point_over(monkeypatch, d, n, b, size):
-    # The suffix lists of the later blocks are counted too; none is
-    # longer than the fiber, so a cap of exactly its size still passes.
+    # The lists of the later blocks are counted too; together they hold
+    # tails of distinct points, so a cap of exactly the size still passes.
     monkeypatch.setenv("VLAB_SIZE_CAP", str(size))
     assert len(_raw_fiber(d, n, b)) == size
     monkeypatch.setenv("VLAB_SIZE_CAP", str(size - 1))
     with pytest.raises(SizeCapExceeded, match=f"cap {size - 1}$"):
         _raw_fiber(d, n, b)
+
+
+def test_the_size_cap_stops_a_large_fiber_before_a_block_is_listed(monkeypatch):
+    # Block 0 of (30,)*6 alone has over 10^5 points.  They are made as
+    # the search consumes them, so the search stops with next to
+    # nothing allocated once its lists pass a small cap.
+    monkeypatch.setenv("VLAB_SIZE_CAP", "10")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="cap 10$"):
+            _raw_fiber(2, 6, (30,) * 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_each_call_returns_a_fresh_list():
