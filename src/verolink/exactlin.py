@@ -27,6 +27,7 @@ transforms independently.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -91,7 +92,7 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
         ot = other.transpose().data
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
+        return IntMatrix([[sum(map(operator.mul, row, col)) for col in ot]
                           for row in self.data], cols=other.cols)
 
     __matmul__ = mul
@@ -99,7 +100,7 @@ class IntMatrix:
     def mul_vector(self, v) -> tuple[int, ...]:
         if self.cols != len(v):
             raise ValueError("vector length differs from column count")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        return tuple(sum(map(operator.mul, row, v)) for row in self.data)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)

@@ -343,12 +343,20 @@ def group_algebra_subintersection(k: int) -> bool:
     character chi*, the intersection of the other kernels must equal the
     principal ideal generated by prod_i (1 + chi*(t_i) t_i); both sides
     are computed honestly and compared as subspaces of the algebra.
-    k is limited to 1..7: each step doubles both the omission count and
-    the matrix width, and k = 7 takes about 3.3 s in process on a 2-core
-    Xeon (k = 6 about 0.4 s).
+
+    The 2^k x 2^k character table is built once and eliminated once.
+    When it has full rank its rows are independent, so any 2^k - 1 of
+    them have rank 2^k - 1 and the kernel of the characters but chi* is
+    a line at every omission.  Each omission then checks that those
+    characters kill q and that the translates of q have rank 1: the
+    ideal is the line through q, and it lies in the kernel line.  A pass
+    here meets every condition of the per-omission rank test it
+    replaces.  k is limited to 1..8: each step doubles both the omission
+    count and the matrix width, and k = 8 takes about 5.5 s in process
+    on a 2-core Xeon (k = 7 about 0.6 s, k = 6 about 0.1 s).
     """
-    if not 1 <= k <= 7:
-        raise ValueError("need 1 <= k <= 7")
+    if not 1 <= k <= 8:
+        raise ValueError("need 1 <= k <= 8")
     # Group elements are k-bit ints, coordinate i in bit k-1-i: the
     # product is XOR and the order is that of the coordinate tuples.
     size = 1 << k
@@ -363,24 +371,25 @@ def group_algebra_subintersection(k: int) -> bool:
                     out[g ^ h] += ca * cb
         return out
 
+    signs = [[character_sign(s, g) for g in range(size)] for s in range(size)]
+    if rational_rank(IntMatrix(signs, cols=size)) != size:
+        return False
     for s_star in range(size):
         # The twisted zonotope element prod_i (1 + chi*(t_i) t_i).
         q = [1] + [0] * (size - 1)
         for i in range(k):
             e = 1 << i
             factor = [0] * size
-            factor[0], factor[e] = 1, character_sign(s_star, e)
+            factor[0], factor[e] = 1, signs[s_star][e]
             q = convolve(q, factor)
 
-        chars = IntMatrix([[character_sign(s, g) for g in range(size)]
-                           for s in range(size) if s != s_star], cols=size)
+        chars = IntMatrix(signs[:s_star] + signs[s_star + 1:], cols=size)
         translates = IntMatrix([[q[g ^ h] for h in range(size)]
                                 for g in range(size)], cols=size)
 
         # With both sides lines, q (the identity translate) spans the
         # ideal, which lies in the kernel when the characters kill q.
-        if (size - rational_rank(chars) != 1 or any(chars.mul_vector(q))
-                or rational_rank(translates) != 1):
+        if any(chars.mul_vector(q)) or rational_rank(translates) != 1:
             return False
     return True
 

@@ -143,9 +143,9 @@ def test_criterion_09_toral_bound_and_stabilization():
 
 
 def test_criterion_10_group_algebra_oracle():
-    for k in range(1, 7):
+    for k in range(1, 8):
         assert group_algebra_subintersection(k)
-    report(10, "group-algebra subintersection for k=1..6, every omission")
+    report(10, "group-algebra subintersection for k=1..7, every omission")
 
 
 def test_criterion_11_colon_membership():

@@ -422,11 +422,11 @@ def test_twist_output_is_pinned(capsys, monkeypatch, signs, text, as_json):
     assert (code, out, err) == (0, as_json + "\n", "")
 
 
-@pytest.mark.parametrize("k", ["0", "8"])
+@pytest.mark.parametrize("k", ["0", "9"])
 def test_laurent_check_outside_its_range_is_a_usage_error(capsys, k):
     code, out, err = run(capsys, ["laurent-check", "-k", k])
     assert code == 2 and out == ""
-    assert "k <= 7" in err
+    assert "k <= 8" in err
 
 
 # An empty item is refused rather than read as no sign.

@@ -197,6 +197,62 @@ def test_large_entries_and_vandermonde_rows(seed):
     check_rank_rref_nullspace(large_entry_matrix(seed))
 
 
+def product_operands(seed):
+    """IntMatrix operands of a product, shapes 0..5 so that empty rows,
+    columns and inner dimensions all occur, entries up to +-10^6."""
+    rng = random.Random(7000 + seed)
+    rows, inner, cols = (rng.randint(0, 5) for _ in range(3))
+
+    def entries(r, c):
+        return [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(c)]
+                for _ in range(r)]
+
+    return (IntMatrix(entries(rows, inner), cols=inner),
+            IntMatrix(entries(inner, cols), cols=cols),
+            [rng.randint(-10 ** 6, 10 ** 6) for _ in range(inner)])
+
+
+def sympy_of(M):
+    return sympy.Matrix(M.rows, M.cols, [x for row in M.data for x in row])
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_products_match_sympy(seed):
+    A, B, v = product_operands(seed)
+    AB = A.mul(B)
+    assert (AB.rows, AB.cols) == (A.rows, B.cols)
+    assert sympy_of(AB) == sympy_of(A) * sympy_of(B)
+    assert A @ B == AB
+    Av = A.mul_vector(v)
+    assert type(Av) is tuple
+    assert sympy.Matrix(len(Av), 1, list(Av)) == (
+        sympy_of(A) * sympy.Matrix(len(v), 1, v))
+
+
+def test_product_seeds_cover_every_empty_dimension():
+    shapes = [(A.rows, A.cols, B.cols)
+              for A, B, _ in map(product_operands, range(60))]
+    for i in range(3):
+        assert any(shape[i] == 0 for shape in shapes)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mismatched_products_raise_as_before(seed):
+    A, B, v = product_operands(seed)
+    wide = IntMatrix([row + [1] for row in A.data], cols=A.cols + 1)
+    with pytest.raises(ValueError, match="^inner dimensions differ$"):
+        wide.mul(B)
+    with pytest.raises(ValueError, match="^inner dimensions differ$"):
+        wide @ B
+    with pytest.raises(ValueError,
+                       match="^vector length differs from column count$"):
+        A.mul_vector(v + [1])
+    if v:
+        with pytest.raises(ValueError,
+                           match="^vector length differs from column count$"):
+            A.mul_vector(v[:-1])
+
+
 def full_column_rank(rng, fractional):
     while True:
         k = rng.randint(1, 5)

@@ -284,6 +284,57 @@ def test_group_algebra_k1_by_hand():
     assert group_algebra_subintersection(1)
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_group_algebra_fails_on_a_table_with_repeated_characters(monkeypatch, k):
+    # Ignoring bit 0 of the character makes s and s ^ 1 coincide, so the
+    # table is singular and no omission leaves a kernel line.
+    sign = verify.character_sign
+    monkeypatch.setattr(verify, "character_sign",
+                        lambda s, g: sign(s & ~1, g))
+    assert not group_algebra_subintersection(k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_group_algebra_eliminates_the_table_then_each_translate_matrix(
+        monkeypatch, k):
+    shapes = []
+
+    def spy(M):
+        shapes.append((M.rows, M.cols))
+        return rational_rank(M)
+
+    monkeypatch.setattr(verify, "rational_rank", spy)
+    assert group_algebra_subintersection(k)
+    size = 1 << k
+    assert len(shapes) == 1 + size
+    assert shapes[0] == (size, size)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_group_algebra_fails_on_a_full_rank_table_that_misses_q(monkeypatch, k):
+    # Flipping the column of group element 3, a product of two
+    # generators, keeps the table invertible and leaves q unchanged (it
+    # reads only the generators' columns), so only the product with q
+    # can see it.
+    sign = verify.character_sign
+    monkeypatch.setattr(verify, "character_sign",
+                        lambda s, g: -sign(s, g) if g == 3 else sign(s, g))
+    assert not group_algebra_subintersection(k)
+
+
+def test_group_algebra_fails_when_the_table_rank_falls_short(monkeypatch):
+    # Every omission would pass its own checks; the table rank alone
+    # stands for the kernel lines.
+    calls = []
+
+    def short(M):
+        calls.append(M)
+        return rational_rank(M) - (len(calls) == 1)
+
+    monkeypatch.setattr(verify, "rational_rank", short)
+    assert not group_algebra_subintersection(3)
+
+
 def test_higher_torsion_values():
     assert higher_torsion(2, 4) == [2, 2, 2]
     assert higher_torsion(2, 2) == []
