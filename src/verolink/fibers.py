@@ -28,8 +28,8 @@ ASCII_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 def size_cap() -> int:
-    """Fiber-point cap, the one size limit of the package; the class
-    search of ``_class_maxima`` counts its nodes against it, and
+    """Fiber-point cap, the one size limit of the package; ``_class_maxima``
+    counts the 2^binom(n-1, 2) parity classes it builds against it, and
     ``_check_level`` the monomials of a degree level.
 
     VLAB_SIZE_CAP overrides the default and must be a non-negative
@@ -45,25 +45,6 @@ def size_cap() -> int:
         raise ValueError(
             f"VLAB_SIZE_CAP must be a non-negative integer, got {raw!r}")
     return limit
-
-
-@lru_cache(maxsize=None)
-def _fiber_plan(d: int, n: int):
-    """Static data for the column-by-column DFS of ``_class_maxima``.
-
-    Returns (supports, finishing) where supports[c] lists the
-    (row, multiplicity) pairs of column c and finishing[c] the rows
-    whose last touching column is c; their residual degree is forced
-    once the DFS reaches c.
-    """
-    supports = column_supports(d, n)
-    last = {}
-    for c, sup in enumerate(supports):
-        for row, _ in sup:
-            last[row] = c
-    finishing = tuple(tuple(row for row, _ in supports[c] if last[row] == c)
-                      for c in range(len(supports)))
-    return supports, finishing
 
 
 @lru_cache(maxsize=None)
@@ -235,70 +216,60 @@ def _class_maxima(n: int, b: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     """The largest exponent tuple of each parity class in the fiber of b,
     keyed by its ``off_diagonal_parities``, without enumerating the fiber.
 
-    A DFS over the columns in order with exponents tried from high to
-    low, so points come in descending order and the first of each
-    parity mask is its class maximum.  The parity columns come in pair
-    order, bit k at the k-th pair, so a node has fixed the low bits of
-    the mask; it is skipped once every completion of those bits has
-    been found.  Raises SizeCapExceeded once the visited nodes pass
+    Weight each off-diagonal variable 1 and each diagonal one 0: the
+    principal minors x_ii*x_jj - x_ij^2 then have pairwise coprime
+    leading terms x_ij^2, so they are a Groebner basis, and the class
+    maximum is the one standard monomial of its class:
+
+    - a move x_ii*x_jj <-> x_ij^2 keeps the degree and the parities, and
+      rewriting x_ij^2 -> x_ii*x_jj terminates, so every nonempty class
+      has a member whose off-diagonal exponents are all 0 or 1;
+    - the degree and the B = binom(n-1, 2) parities fix that member: the
+      bits give each x_ij with j < n, b_i then gives the parity of x_in,
+      and the degree the diagonal (row n's remainder is even, as sum(b)
+      is);
+    - it is the class maximum.  Read row by row in column order: every
+      member has each x_1j at least the standard one's, since they agree
+      mod 2 and the standard one is 0 or 1, so x_11 is largest exactly
+      at the standard member; the same holds for each later row.
+
+    Each of the 2^B masks is built once and dropped when a row has a
+    negative remainder.  Raises SizeCapExceeded before any work when
+    2^B, the class count at every saturated degree, passes
     ``size_cap()``.
     """
     check_size(2, n)
-    limit = size_cap()
     if len(b) != n:
         raise ValueError("degree length differs from n")
     if any(x < 0 for x in b) or sum(b) % 2:
         return {}
-    supports, finishing = _fiber_plan(2, n)
-    ncols = len(supports)
-    bit_of = {p: k for k, p in enumerate(reversed(_parity_positions(n)))}
-    nbits = len(bit_of)
-    # fixed[c]: parity bits fixed before column c; found[f][prefix]:
-    # classes found whose mask has the low f bits ``prefix``.
-    fixed = [sum(p < c for p in bit_of) for c in range(ncols + 1)]
-    found: list[dict[int, int]] = [{} for _ in range(nbits + 1)]
-    residual = list(b)
-    exps = [0] * ncols
+    pos = column_position(2, n)
+    # Bit k of a mask is the k-th pair {i < j <= n-1} in lexicographic
+    # order, as in ``off_diagonal_parities``.
+    pairs = [(pos[i, j], i - 1, j - 1)
+             for i in range(1, n) for j in range(i + 1, n)]
+    classes, limit = 1 << len(pairs), size_cap()
+    if classes > limit:
+        raise SizeCapExceeded(f"the {classes} classes of the fiber of {b} "
+                              f"exceed the size cap {limit}")
     maxima: dict[int, tuple[int, ...]] = {}
-    visited = 0
-
-    def rec(c: int, prefix: int) -> None:
-        nonlocal visited
-        f = fixed[c]
-        if found[f].get(prefix, 0) == 1 << (nbits - f):
-            return
-        visited += 1
-        if visited > limit:
-            raise SizeCapExceeded(
-                f"class search in the fiber of {b} exceeds the size cap {limit}")
-        if c == ncols:
-            maxima[prefix] = tuple(exps)
-            for g in range(nbits + 1):
-                low = prefix & ((1 << g) - 1)
-                found[g][low] = found[g].get(low, 0) + 1
-            return
-        sup = supports[c]
-        hi = min(residual[row - 1] // mult for row, mult in sup)
-        lo = 0
-        for row in finishing[c]:
-            mult = next(m for r, m in sup if r == row)
-            if residual[row - 1] % mult:
-                return
-            forced = residual[row - 1] // mult
-            if forced < lo or forced > hi:
-                return
-            lo = hi = forced
-        bit = bit_of.get(c)
-        for e in range(hi, lo - 1, -1):
-            for row, mult in sup:
-                residual[row - 1] -= mult * e
-            exps[c] = e
-            rec(c + 1, prefix if bit is None else prefix | (e & 1) << bit)
-            exps[c] = 0
-            for row, mult in sup:
-                residual[row - 1] += mult * e
-
-    rec(0, 0)
+    for mask in range(classes):
+        exps, left = [0] * len(pos), list(b)
+        for k, (p, i, j) in enumerate(pairs):
+            if mask >> k & 1:
+                exps[p] = 1
+                left[i] -= 1
+                left[j] -= 1
+        for i in range(n - 1):
+            if left[i] % 2:
+                exps[pos[i + 1, n]] = 1
+                left[i] -= 1
+                left[n - 1] -= 1
+        if min(left) < 0:
+            continue
+        for i in range(n):
+            exps[pos[i + 1, i + 1]] = left[i] // 2
+        maxima[mask] = tuple(exps)
     return maxima
 
 

@@ -50,10 +50,11 @@ def saturated_fiber_poly(n: int, i: int) -> SparsePoly:
     """Class generating function of the i-th minimal saturated fiber.
 
     One canonical monomial per equivalence class, coefficient one; the
-    canonical member is the dictionary-least monomial of its class.
-    The term count is exactly 2**binom(n-1, 2).  For even n the single
-    minimal fiber is addressed as i = 1.  The members come from the
-    class search of ``_class_maxima``, not from the whole fiber.
+    canonical member is the dictionary-least monomial of its class, its
+    standard monomial, whose off-diagonal exponents are 0 or 1.  The
+    term count is exactly 2**binom(n-1, 2).  For even n the single
+    minimal fiber is addressed as i = 1.  ``_class_maxima`` builds the
+    members directly, one per parity class, without the fiber.
     """
     if n < 3:
         raise ValueError("need n >= 3")

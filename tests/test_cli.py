@@ -340,6 +340,13 @@ def test_the_largest_benchmark_fiber_meets_the_cap_at_its_size(
         assert out.count("\n") == 43581 and err == ""
 
 
+def test_pplus_at_n8_stops_at_its_class_count(capsys):
+    # binom(7, 2) = 21 pair parities: 2^21 classes pass the default cap.
+    code, out, err = run(capsys, ["pplus", "-n", "8", "-i", "1"])
+    assert code == 3 and out == ""
+    assert "2097152 classes" in err
+
+
 def test_the_verify_size_cap_counts_the_largest_level(capsys, monkeypatch):
     # Sum 6 at n = 4 has binom(12, 3) = 220 monomials, its largest fiber 6.
     argv = ["verify-decomp", "-n", "4", "--bound", "6"]

@@ -12,14 +12,14 @@ from itertools import product
 import pytest
 
 from verolink.errors import SizeCapExceeded
-from verolink.fibers import (_fibers_of_sum, _raw_fiber,
+from verolink.fibers import (_class_maxima, _fibers_of_sum, _raw_fiber,
                              canonical_representative, class_count, class_key,
                              connectivity_classes, degrees_up_to,
                              enumerate_fiber, fiber_classes,
                              is_saturated_degree, minimal_saturated_fibers,
                              off_diagonal_parities, principal_moves, size_cap)
 from verolink.veronese import (monomial, monomial_degree, monomial_text,
-                               pair_count, veronese_matrix)
+                               pair_count, variable_multisets, veronese_matrix)
 
 
 def box_fiber(V, b):
@@ -327,3 +327,31 @@ def test_canonical_representative_is_dictionary_least():
     big = [cls for cls in classes
            if any(monomial_text(m, 4) == "x11*x22*x33*x44" for m in cls)]
     assert len(big[0]) == 10
+
+
+def test_class_maxima_at_a_degree_where_some_patterns_cannot_occur():
+    # Not saturated (four b_i < 5): only 24,606 of the 2^15 patterns
+    # occur, the count of edge sets E of K_7 with deg_E <= b and
+    # deg_E = b mod 2.  The fiber is never listed.
+    n, b = 7, (4, 8, 4, 5, 8, 4, 3)
+    maxima = _class_maxima(n, b)
+    assert len(maxima) == 24606
+    for mask, m in maxima.items():
+        assert monomial_degree(m, n) == b
+        assert off_diagonal_parities(m, n) == mask
+        assert all(e <= 1 for (i, j), e in
+                   zip(variable_multisets(2, n), m) if i < j)
+
+
+def _sweep():
+    for n, top in [(3, 12), (4, 10), (5, 8)]:
+        yield from ((n, b) for b in degrees_up_to(n, top))
+    yield 6, (4, 4, 4, 4, 4, 4)
+
+
+def test_class_maxima_match_the_largest_fiber_point_of_each_class():
+    for n, b in _sweep():
+        fiber = _raw_fiber(2, n, b)
+        expected = {off_diagonal_parities(u, n): u for u in fiber}
+        assert _class_maxima(n, b) == expected, (n, b)
+

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from operator import itemgetter
 
 import pytest
 
@@ -13,7 +14,8 @@ from verolink.link import (check_saturation_identity, check_syzygy,
                            saturation_exponent, zonotope_poly)
 from verolink.poly import (SparsePoly, in_principal_minor_ideal,
                            multidegree, normal_form, parse_poly, render_poly)
-from verolink.veronese import monomial, monomial_degree, pair_count
+from verolink.veronese import (monomial, monomial_degree, pair_count,
+                               variable_multisets)
 
 
 def test_zonotope_poly_n3():
@@ -186,19 +188,32 @@ def test_colon_products_fall_into_minor_ideal(n):
 
 
 def test_fiber_poly_n7_by_class_search():
-    # The fiber of (6,5,5,5,5,5,5) has 22M points; the class search
-    # visits a few hundred thousand nodes, under the default size cap.
+    # The fiber of (6,5,5,5,5,5,5) has 22M points; its 2^15 classes are
+    # built one standard monomial each, under the default size cap.
     p = saturated_fiber_poly(7, 1)
     assert len(p.terms) == 2 ** 15
     assert len({off_diagonal_parities(m, 7) for m in p.terms}) == 2 ** 15
     assert {monomial_degree(m, 7) for m in p.terms} == {(6, 5, 5, 5, 5, 5, 5)}
 
 
-def test_the_size_cap_counts_search_nodes(monkeypatch):
-    # 43,581 points in the n = 6 fiber, but fewer than 10,000 nodes.
+def test_the_size_cap_counts_classes(monkeypatch):
+    # 43,581 points in the n = 6 fiber, but 2^10 = 1024 classes.
     expected = saturated_fiber_poly(6, 1)
-    monkeypatch.setenv("VLAB_SIZE_CAP", "10000")
+    monkeypatch.setenv("VLAB_SIZE_CAP", "1024")
     assert saturated_fiber_poly(6, 1) == expected
-    monkeypatch.setenv("VLAB_SIZE_CAP", "1000")
-    with pytest.raises(SizeCapExceeded):
+    monkeypatch.setenv("VLAB_SIZE_CAP", "1023")
+    with pytest.raises(SizeCapExceeded, match="the 1024 classes .* cap 1023$"):
         saturated_fiber_poly(6, 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_fiber_polys_are_in_groebner_normal_form(n):
+    # Off-diagonal weight 1, diagonal weight 0: the principal minors are
+    # a Groebner basis with leading terms x_ij^2, so every term is
+    # standard, with each off-diagonal exponent 0 or 1.
+    off_diagonal = itemgetter(*(k for k, (i, j) in
+                                enumerate(variable_multisets(2, n)) if i < j))
+    for i in range(1, n + 1) if n % 2 else (1,):
+        terms = saturated_fiber_poly(n, i).terms
+        assert len(terms) == 2 ** pair_count(n - 1)
+        assert {e for m in terms for e in off_diagonal(m)} == {0, 1}
