@@ -322,10 +322,6 @@ def det(M: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def is_unimodular(M: IntMatrix) -> bool:
-    return M.rows == M.cols and abs(det(M)) == 1
-
-
 def kernel_lattice(M: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel ``{u : M @ u == 0}``, as columns.
 

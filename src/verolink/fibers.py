@@ -15,10 +15,12 @@ import re
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
+from operator import add
 
 from .errors import SizeCapExceeded
-from .veronese import (check_size, column_position, column_supports,
-                       minor_vector, monomial_degree, variable_multisets)
+from .veronese import (character_pairs, check_size, column_position,
+                       column_supports, minor_vector, monomial_degree,
+                       variable_multisets)
 
 DEFAULT_SIZE_CAP = 10 ** 6
 #: An integer as read from outside input: ASCII digits, an optional sign
@@ -206,10 +208,9 @@ def _fibers_of_sum(n: int, s: int) -> dict[tuple[int, ...], list[tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def _parity_positions(n: int) -> tuple[int, ...]:
-    """Column positions of the pairs {i < j <= n-1}, last pair first."""
+    """Column positions of ``character_pairs(n)``, last pair first."""
     pos = column_position(2, n)
-    return tuple(pos[(i, j)] for i in range(1, n)
-                 for j in range(i + 1, n))[::-1]
+    return tuple(pos[p] for p in character_pairs(n))[::-1]
 
 
 def _class_maxima(n: int, b: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
@@ -244,10 +245,7 @@ def _class_maxima(n: int, b: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     if any(x < 0 for x in b) or sum(b) % 2:
         return {}
     pos = column_position(2, n)
-    # Bit k of a mask is the k-th pair {i < j <= n-1} in lexicographic
-    # order, as in ``off_diagonal_parities``.
-    pairs = [(pos[i, j], i - 1, j - 1)
-             for i in range(1, n) for j in range(i + 1, n)]
+    pairs = [(pos[i, j], i - 1, j - 1) for i, j in character_pairs(n)]
     classes, limit = 1 << len(pairs), size_cap()
     if classes > limit:
         raise SizeCapExceeded(f"the {classes} classes of the fiber of {b} "
@@ -300,6 +298,40 @@ def class_key(u: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     return monomial_degree(u, n), off_diagonal_parities(u, n)
 
 
+def _parity_diffs(fiber: list[tuple[int, ...]], n: int) -> list[int]:
+    """Each point's ``off_diagonal_parities`` XOR those of the last,
+    largest point of a nonempty fiber sorted as ``_raw_fiber`` sorts it."""
+    base = off_diagonal_parities(fiber[-1], n)
+    return [off_diagonal_parities(p, n) ^ base for p in fiber]
+
+
+def _components(fiber: list[tuple[int, ...]], edges: list[tuple]
+                ) -> tuple[list[int], int]:
+    """Each fiber point's component, numbered in the order of first
+    points, and the component count, for edges (support, du) joining p
+    to p + du at each p with p[i] >= e for every (i, e) of the support;
+    a p + du outside the fiber joins nothing."""
+    index = {p: k for k, p in enumerate(fiber)}
+    parent = list(range(len(fiber)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for support, du in edges:
+        for k, p in enumerate(fiber):
+            if all(p[i] >= e for i, e in support):
+                j = index.get(tuple(map(add, p, du)))
+                if j is not None:
+                    parent[find(j)] = find(k)
+    roots: dict[int, int] = {}
+    component = [roots.setdefault(find(k), len(roots))
+                 for k in range(len(fiber))]
+    return component, len(roots)
+
+
 def class_count(n: int, b) -> int:
     """Number of equivalence classes in the fiber of b.
 
@@ -344,39 +376,21 @@ def connectivity_classes(n: int, b, moves: list[tuple[int, ...]]
     """Partition the fiber of b into components of the move graph.
 
     Edges join u and u + m for each move m whenever both endpoints are
-    nonnegative.  With the principal 2-minor vectors as moves this is
-    the brute-force oracle for ``class_key``.
+    nonnegative: the ``_components`` edge whose support is the negative
+    part of m.  With the principal 2-minor vectors as moves this is the
+    brute-force oracle for ``class_key``.
     """
     size = len(variable_multisets(2, n))
     if any(len(m) != size for m in moves):
         raise ValueError("move over a different variable set")
     raw = _raw_fiber(2, n, tuple(b))
-    index = {exps: k for k, exps in enumerate(raw)}
-    parent = list(range(len(raw)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for exps, k in index.items():
-        for mv in moves:
-            neighbor = tuple(a + c for a, c in zip(exps, mv))
-            if all(x >= 0 for x in neighbor):
-                j = index.get(neighbor)
-                if j is not None:
-                    union(k, j)
-
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for exps, k in index.items():
-        groups.setdefault(find(k), []).append(exps)
-    return sorted(sorted(g) for g in groups.values())
+    edges = [([(i, -e) for i, e in enumerate(m) if e < 0], m) for m in moves]
+    component, count = _components(raw, edges)
+    # ``raw`` is sorted, so each group is too.
+    groups: list[list[tuple[int, ...]]] = [[] for _ in range(count)]
+    for exps, c in zip(raw, component):
+        groups[c].append(exps)
+    return sorted(groups)
 
 
 def principal_moves(n: int) -> list[tuple[int, ...]]:

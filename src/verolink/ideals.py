@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .exactlin import IntMatrix
+from .fibers import _fibers_of_sum
 from .poly import SparsePoly
 from .veronese import (check_size, column_position, minor_vector,
                        variable_multisets)
@@ -30,34 +33,26 @@ def principal_minor_gens(n: int) -> list[SparsePoly]:
 
 
 def veronese_minor_gens(n: int) -> list[SparsePoly]:
-    """All 2-minors of the generic symmetric matrix, deduplicated up to sign.
+    """All 2-minors of the generic symmetric matrix, up to sign: x^a - x^b
+    for each pair of points a > b of a fiber of coordinate sum 4, sorted
+    by leading monomial, descending.  They generate the full second
+    Veronese ideal.
 
-    Quadruples i <= j, k <= l are enumerated, zero minors discarded, and
-    each survivor is normalized so its leading monomial (largest dense
-    exponent tuple) carries a plus sign.  The result generates the full
-    second Veronese ideal.
+    These are the nonzero minors.  Both monomials of x_ik*x_jl - x_il*x_jk
+    have the degree e_i + e_j + e_k + e_l, so each is a pair of points of
+    one sum-4 fiber.  Conversely, every sum-4 fiber has at most three
+    points, and every pair of them is a minor: {x_ii*x_jj, x_ij^2} at
+    2e_i + 2e_j, {x_ii*x_jk, x_ij*x_ik} at 2e_i + e_j + e_k, and any two
+    of the three products x_ij*x_kl, x_ik*x_jl, x_il*x_jk at
+    e_i + e_j + e_k + e_l; the fibers of 4e_i and 3e_i + e_j have one
+    point.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     check_size(2, n)
-    seen = set()
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(1, n + 1):
-                for l in range(k, n + 1):
-                    g = binomial_from_vector(n, minor_vector(i, j, k, l, n))
-                    if g.is_zero():
-                        continue
-                    if g.sorted_terms()[0][1] < 0:
-                        g = -g
-                    fingerprint = tuple(sorted(g.terms.items()))
-                    if fingerprint in seen:
-                        continue
-                    seen.add(fingerprint)
-                    out.append(g)
-    out.sort(key=lambda g: g.sorted_terms()[0][0], reverse=True)
-    return out
+    pairs = sorted(((a, b) for fiber in _fibers_of_sum(n, 4).values()
+                    for b, a in combinations(fiber, 2)), reverse=True)
+    return [SparsePoly(n, {a: 1, b: -1}) for a, b in pairs]
 
 
 def higher_veronese_gens(d: int, n: int) -> list[tuple[int, ...]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .fibers import _class_maxima, minimal_saturated_fibers
 from .ideals import principal_minor_gens
 from .poly import SparsePoly, normal_form, twist, twisting_from_character
-from .veronese import monomial, pair_count
+from .veronese import character_pairs, monomial, pair_count
 
 
 def zonotope_poly(n: int) -> SparsePoly:
@@ -27,11 +27,10 @@ def zonotope_poly(n: int) -> SparsePoly:
     if n < 3:
         raise ValueError("need n >= 3")
     result = SparsePoly.constant(n, 1)
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            factor = SparsePoly(n, {monomial(n, {(i, j): 1, (n, n): 1}): 1,
-                                    monomial(n, {(i, n): 1, (j, n): 1}): 1})
-            result = result * factor
+    for i, j in character_pairs(n):
+        factor = SparsePoly(n, {monomial(n, {(i, j): 1, (n, n): 1}): 1,
+                                monomial(n, {(i, n): 1, (j, n): 1}): 1})
+        result = result * factor
     return result
 
 

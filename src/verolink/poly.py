@@ -28,9 +28,10 @@ import re
 from fractions import Fraction
 from operator import add, itemgetter
 
-from .fibers import class_key, off_diagonal_parities
-from .veronese import (column_position, monomial, monomial_degree,
-                       monomial_text, pair, pair_count, variable_multisets)
+from .fibers import class_key
+from .veronese import (character_pairs, column_position, monomial,
+                       monomial_degree, monomial_text, pair, pair_count,
+                       variable_multisets)
 
 
 class SparsePoly:
@@ -154,11 +155,6 @@ def twist(p: SparsePoly, flips: int) -> SparsePoly:
     return SparsePoly(p.n, out)
 
 
-def character_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The pairs {i < j <= n-1}, lexicographic; the character coordinates."""
-    return tuple((i, j) for i in range(1, n) for j in range(i + 1, n))
-
-
 def all_characters(n: int) -> list[int]:
     """All sign characters, as masks in increasing order; the trivial
     one, 0, comes first.
@@ -225,10 +221,11 @@ def character_value(mask: int, u: tuple[int, ...], u0: tuple[int, ...],
     if len(u0) != len(u):
         raise ValueError("character over a different variable set")
     _check_mask(mask, pair_count(n - 1), "character")
-    if monomial_degree(u, n) != monomial_degree(u0, n):
+    degree, parities = class_key(u, n)
+    degree0, parities0 = class_key(u0, n)
+    if degree != degree0:
         raise ValueError("monomials lie in different fibers")
-    diff = off_diagonal_parities(u, n) ^ off_diagonal_parities(u0, n)
-    return character_sign(mask, diff)
+    return character_sign(mask, parities ^ parities0)
 
 
 # -- normal forms modulo the principal-minor ideal ---------------------

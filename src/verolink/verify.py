@@ -19,15 +19,15 @@ the tests' oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import groupby
 from operator import add, ge, or_, sub
 
 from .exactlin import (IntMatrix, _smith_diagonal, clear_denominators,
                        kernel_lattice, rational_nullspace, rational_rank)
-from .fibers import (_check_level, _fibers_of_sum, _raw_fiber, degrees_up_to,
-                     minimal_saturated_fibers, off_diagonal_parities)
+from .fibers import (_check_level, _components, _fibers_of_sum, _parity_diffs,
+                     _raw_fiber, degrees_up_to, minimal_saturated_fibers)
 from .ideals import (generator_lattice, higher_veronese_gens,
                      principal_minor_gens, veronese_minor_gens)
 from .link import link_generators
@@ -83,15 +83,14 @@ def ideal_degree_piece(gens: list[SparsePoly], n: int, b) -> IntMatrix:
 def _character_rows(n: int, fiber: list[tuple[int, ...]],
                     masks: list[int]) -> IntMatrix:
     """The +-1 values of characters, given by their ``mask``, on a fiber
-    of exponent tuples, relative to its canonical (largest) point: -1
-    where an odd number of the parity bits that differ from that point's
-    carry a minus sign.  Masks that agree on the bits that vary over the
-    fiber give one row, which keeps the row space.  An empty fiber, off
-    the grading monoid, gives the 0x0 matrix."""
+    as ``_raw_fiber`` gives it, relative to its canonical (largest) point:
+    -1 where an odd number of the ``_parity_diffs`` bits carry a minus
+    sign.  Masks that agree on the bits that vary over the fiber give one
+    row, which keeps the row space.  An empty fiber, off the grading
+    monoid, gives the 0x0 matrix."""
     if not fiber:
         return IntMatrix([], cols=0)
-    base = off_diagonal_parities(max(fiber), n)
-    diffs = [off_diagonal_parities(exps, n) ^ base for exps in fiber]
+    diffs = _parity_diffs(fiber, n)
     varying = reduce(or_, diffs)
     rows = [[character_sign(minus, d) for d in diffs]
             for minus in sorted({m & varying for m in masks})]
@@ -112,24 +111,15 @@ def subintersection_degree_piece(n: int, omitted: int, b) -> IntMatrix:
                                               masks))
 
 
-@dataclass(frozen=True)
-class DegreeRecord:
-    degree: tuple[int, ...]
-    fiber_size: int
-    ideal_dim: int
-    target_dim: int
-    equal: bool
+DegreeRecord = namedtuple(
+    "DegreeRecord", "degree fiber_size ideal_dim target_dim equal")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple(
+        "VerificationReport", "n degree_bound kind omitted records")):
     """Per-degree comparison records plus the overall verdict."""
 
-    n: int
-    degree_bound: int
-    kind: str
-    omitted: int | None
-    records: tuple[DegreeRecord, ...]
+    __slots__ = ()
 
     @property
     def verdict(self) -> bool:
@@ -201,13 +191,14 @@ def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
     The same ranks and product as the fiber route of ``_columns`` and
     ``_character_rows``, which stays as the tests' oracle:
     - the edge columns span |fiber| - C dimensions, for the C components
-      of their graph on the fiber, and the quotient by that span sums
-      the coordinates of each component, so the other columns add the
-      rank of their component sums;
-    - a character row depends on a point only through its parity diff,
-      so the rows are Walsh functions on the distinct diffs D inside
-      (Z/2)^B, B = pair_count(n - 1), and a column acts through its
-      sums c per diff (an edge e_p - e_q is {d_p: 1, d_q: -1}).
+      of their graph on the fiber (``_components``), and the quotient by
+      that span sums the coordinates of each component, so the other
+      columns add the rank of their component sums;
+    - a character row depends on a point only through its parity diff
+      (``_parity_diffs``), so the rows are Walsh functions on the
+      distinct diffs D inside (Z/2)^B, B = pair_count(n - 1), and a
+      column acts through its sums c per diff (an edge e_p - e_q is
+      {d_p: 1, d_q: -1}).
 
     All 2^B Walsh functions form an invertible Hadamard matrix, so with
     every character (``omitted`` None) the rank is |D| and only c = 0 is
@@ -218,38 +209,34 @@ def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
     and c is killed when it is zero or covers all 2^B diffs with
     c[d] * character_sign(omitted, d) the same for every d.  A fiber
     whose diffs vary over fewer than B bits never covers the group; on
-    it, every character agrees with a present one."""
+    it, every character agrees with a present one.
+
+    The edge columns enter through their components: in each, one column
+    {d0: 1, d: -1} for each distinct diff d other than d0, the diff of
+    its first point.  The edges of a connected component span the same
+    differences as these: along a path from the first point the edge
+    columns add up to e_d0 - e_d, and each edge column is a difference of
+    two such.  The columns killed form a subspace, and ``_killed`` tests
+    membership in it exactly, so every edge column is killed exactly
+    when every component column is."""
     if not fiber:
         return DegreeRecord(degree=b, fiber_size=0, ideal_dim=0,
                             target_dim=0, equal=True)
+    component, count = _components(fiber, edges)
+    diff = _parity_diffs(fiber, n)
+    # Distinct (component, diff) pairs in point order, so the first pair
+    # of a component holds its d0.
+    first: dict[int, int] = {}
+    diff_sums = []
+    for c, d in dict.fromkeys(zip(component, diff)):
+        if first.setdefault(c, d) != d:
+            diff_sums.append({first[c]: 1, d: -1})
     index = {p: k for k, p in enumerate(fiber)}
-    parent = list(range(len(fiber)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # Relative to the largest point, as in ``_character_rows``.
-    base = off_diagonal_parities(fiber[-1], n)
-    diff = [off_diagonal_parities(p, n) ^ base for p in fiber]
-    edge_ends = set()
-    for support, du in edges:
-        for k, p in enumerate(fiber):
-            if all(p[i] >= v for i, v in support):
-                j = index[tuple(map(add, p, du))]
-                if diff[k] != diff[j]:
-                    edge_ends.add((diff[k], diff[j]))
-                parent[find(j)] = find(k)
-    roots = {}
-    component = [roots.setdefault(find(k), len(roots)) for k in range(len(fiber))]
     sums = []
-    diff_sums = [{d: 1, e: -1} for d, e in edge_ends]
     for u0, offsets in others:
         for p in fiber:
             if all(map(ge, p, u0)):
-                vec, by_diff = [0] * len(roots), {}
+                vec, by_diff = [0] * count, {}
                 for du, c in offsets:
                     k = index[tuple(map(add, p, du))]
                     vec[component[k]] += c
@@ -257,7 +244,7 @@ def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
                 sums.append(vec)
                 diff_sums.append(by_diff)
     extra = rational_rank(IntMatrix.from_columns(sums)) if sums else 0
-    di = len(fiber) - len(roots) + extra
+    di = len(fiber) - count + extra
 
     full = 1 << pair_count(n - 1)
     dt = len(fiber) - _character_rank(len(set(diff)), full, omitted)

@@ -45,6 +45,12 @@ def pair_count(n: int) -> int:
     return comb(n, 2)
 
 
+def character_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs {i < j <= n-1}, lexicographic: the coordinates of a sign
+    character and the bits of a parity mask, bit k the k-th pair."""
+    return tuple((i, j) for i in range(1, n) for j in range(i + 1, n))
+
+
 def pair(i: int, j: int) -> tuple[int, int]:
     """Normalize an index pair to i <= j (symmetric-variable convention)."""
     return (i, j) if i <= j else (j, i)
@@ -173,7 +179,7 @@ def principal_minor_basis(n: int) -> list[tuple[int, ...]]:
         raise ValueError("need n >= 2")
     check_size(2, n)
     doubled = [tuple(2 * v for v in minor_vector(i, n, j, n, n))
-               for i in range(1, n) for j in range(i + 1, n)]
+               for i, j in character_pairs(n)]
     diagonal = [minor_vector(i, n, i, n, n) for i in range(1, n)]
     return doubled + diagonal
 

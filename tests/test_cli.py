@@ -595,3 +595,15 @@ def test_record_stream_digest(args):
                           capture_output=True, check=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert hashlib.sha256(done.stdout).hexdigest() == RECORD_STREAM_DIGESTS[args]
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every command pays for the modules ``verolink.cli`` imports.
+    src = str(Path(verolink.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, verolink.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, check=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout == "[]\n"

@@ -12,7 +12,8 @@ from itertools import product
 import pytest
 
 from verolink.errors import SizeCapExceeded
-from verolink.fibers import (_class_maxima, _fibers_of_sum, _raw_fiber,
+from verolink.fibers import (_class_maxima, _fibers_of_sum, _parity_diffs,
+                             _raw_fiber,
                              canonical_representative, class_count, class_key,
                              connectivity_classes, degrees_up_to,
                              enumerate_fiber, fiber_classes,
@@ -228,6 +229,24 @@ def test_connectivity_matches_class_key(n):
             by_key.setdefault(class_key(m, n), set()).add(m)
         assert sorted(sorted(comp) for comp in components) \
             == sorted(sorted(g) for g in by_key.values())
+
+
+def test_a_move_off_the_grading_kernel_joins_nothing():
+    # x11 -> x12 changes the degree, so no point has its neighbour in the
+    # fiber; each point is its own component.
+    move = monomial(3, {(1, 2): 1})
+    move = tuple(a - b for a, b in zip(move, monomial(3, {(1, 1): 1})))
+    fiber = enumerate_fiber(3, (2, 2, 2))
+    assert connectivity_classes(3, (2, 2, 2), [move]) == [[u] for u in fiber]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_parity_diffs_are_relative_to_the_largest_point(n):
+    for s in range(0, 9, 2):
+        for b, fiber in _fibers_of_sum(n, s).items():
+            diffs = _parity_diffs(fiber, n)
+            assert diffs[-1] == 0
+            assert len(set(diffs)) == class_count(n, b)
 
 
 def test_a_move_of_another_size_is_refused():

@@ -1,5 +1,7 @@
 """Unit tests for the generator sets."""
 
+import pytest
+
 from verolink.ideals import (generator_lattice, higher_veronese_gens,
                              principal_minor_gens, veronese_minor_gens)
 from verolink.poly import multidegree, parse_poly
@@ -60,10 +62,10 @@ def test_veronese_minor_gens_n2():
         [parse_poly("x11*x22 - x12*x12")])
 
 
-def test_veronese_minor_gens_brute_force_n4():
+@pytest.mark.parametrize("n", range(2, 7))
+def test_veronese_minor_gens_brute_force(n):
     # Independent oracle: enumerate every index quadruple, build the
     # binomial from scratch, and dedupe by sign-normalized support.
-    n = 4
 
     def product(a, b, c, d):
         """Exponents of x_ab * x_cd, each pair sorted by hand."""
@@ -85,7 +87,12 @@ def test_veronese_minor_gens_brute_force_n4():
     gens = veronese_minor_gens(n)
     produced = {frozenset(g.terms) for g in gens}
     assert produced == oracle
-    assert len(gens) == len(oracle) == 21
+    assert len(gens) == len(oracle)
+    if n == 4:
+        assert len(gens) == 21
+    leads = [g.sorted_terms()[0] for g in gens]
+    assert all(c == 1 for _, c in leads)
+    assert all(a >= b for (a, _), (b, _) in zip(leads, leads[1:]))
 
 
 def test_minor_exponent_vectors_match_brackets():
