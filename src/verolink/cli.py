@@ -245,15 +245,38 @@ def cmd_laurent_check(args) -> int:
     return 0 if verdict else 1
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter, sized to the terminal when it lays out
+    text, not when it is built.
+
+    argparse builds a formatter for every argument it adds, and sizing
+    one imports ``shutil`` and reads the terminal; a command that prints
+    no help, usage or error text does neither.  The width and the help
+    column are those of a stock formatter built as the text prints."""
+
+    def __init__(self, prog):
+        # Any width here keeps argparse from reading the terminal's; none
+        # is kept, so a layout before ``format_help`` would fail.
+        super().__init__(prog, width=0)
+        self._width = self._max_help_position = None
+
+    def format_help(self) -> str:
+        sized = argparse.HelpFormatter(self._prog)
+        self._width = sized._width
+        self._max_help_position = sized._max_help_position
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="verolink",
+        prog="verolink", formatter_class=_HelpFormatter,
         description="Exact computations around the second Veronese ideal "
                     "and its principal-minor complete intersection.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Without a prog, add_subparsers lays out a usage line to make one.
+    sub = parser.add_subparsers(dest="command", required=True, prog="verolink")
 
     def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = sub.add_parser(name, formatter_class=_HelpFormatter, **kwargs)
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of text")
         p.set_defaults(fn=fn)

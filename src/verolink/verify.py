@@ -231,7 +231,9 @@ def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
     for c, d in dict.fromkeys(zip(component, diff)):
         if first.setdefault(c, d) != d:
             diff_sums.append({first[c]: 1, d: -1})
-    index = {p: k for k, p in enumerate(fiber)}
+    # Principal minors alone (verify-decomp, and verify-link below the
+    # extra generators' sum) are all edges: no point is looked up.
+    index = {p: k for k, p in enumerate(fiber)} if others else None
     sums = []
     for u0, offsets in others:
         for p in fiber:

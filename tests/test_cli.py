@@ -587,23 +587,182 @@ RECORD_STREAM_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("args", sorted(RECORD_STREAM_DIGESTS))
-def test_record_stream_digest(args):
+def child_env():
+    """The environment of a child process that imports this source tree."""
     src = str(Path(verolink.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.parametrize("args", sorted(RECORD_STREAM_DIGESTS))
+def test_record_stream_digest(args):
     done = subprocess.run([sys.executable, "-m", "verolink.cli", *args.split()],
                           capture_output=True, check=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=child_env())
     assert hashlib.sha256(done.stdout).hexdigest() == RECORD_STREAM_DIGESTS[args]
 
 
 def test_the_cli_loads_neither_dataclasses_nor_inspect():
     # Every command pays for the modules ``verolink.cli`` imports.
-    src = str(Path(verolink.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = ("import sys, verolink.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, check=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=child_env())
     assert done.stdout == "[]\n"
+
+
+def test_a_successful_command_never_sizes_the_terminal():
+    # Sizing argparse's formatters imports shutil (with zlib, bz2, lzma
+    # and fnmatch); only help, usage and error text need a width.
+    code = ("import sys, verolink.cli; loaded = 'shutil' in sys.modules; "
+            "code = verolink.cli.main(['torsion', '-d', '2', '-n', '3']); "
+            "print(code, loaded, 'shutil' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, check=True, text=True,
+                          env=child_env())
+    assert done.stdout == "2\n0 False False\n"
+
+
+@pytest.mark.parametrize("columns, usage_lines", [("40", 3), ("200", 1)])
+def test_help_takes_the_width_when_it_prints(capsys, monkeypatch, columns,
+                                             usage_lines):
+    monkeypatch.setenv("COLUMNS", columns)
+    code, out, _ = run(capsys, ["-h"])
+    assert code == 0
+    assert len(out.split("\n\n")[0].splitlines()) == usage_lines
+
+
+# SHA-256 of ``stdout + "\0" + stderr`` of ``main(ARGS)`` with COLUMNS
+# set: help exits 0, usage errors 2.  argparse's wording changes between
+# Python versions; these were taken on Python 3.11.
+HELP_TEXT_PYTHON = (3, 11)
+HELP_TEXT_DIGESTS = {
+    ("-h", 40):
+        "6abb6c51010e07ec3e3069d5b7760945aef9868815d97e09644d72dfb9e39fad",
+    ("-h", 80):
+        "8361b6b93f77c309f6b9faa66a9d88c9d28c4096a28484b8214da2e451f206f2",
+    ("-h", 200):
+        "3652c770865b11e5b3c8da2f23d991f0b8d8516c57b47da7b920e2709a80cb79",
+    ("grading -h", 40):
+        "cdfff277dc983a157a847df481234546615d88415b481918e552718df26e5aab",
+    ("grading -h", 80):
+        "c2f007be3c2bc7f96542ac40686bfd88ceb06889a6477d488902ffd02512b160",
+    ("grading -h", 200):
+        "c2f007be3c2bc7f96542ac40686bfd88ceb06889a6477d488902ffd02512b160",
+    ("basis -h", 40):
+        "908b46cbfb5852329de2d66509fdafa986967ff9cc45da78b2573618b12ddbec",
+    ("basis -h", 80):
+        "7f2e6ccc55d2d1d12015ff0356f32e580eee22fd31ee70677fdad887663ca2ae",
+    ("basis -h", 200):
+        "7f2e6ccc55d2d1d12015ff0356f32e580eee22fd31ee70677fdad887663ca2ae",
+    ("torsion -h", 40):
+        "74f6fb9b4475e16742eb9b3976092be86b723704d664b6b14c99ec10b0389c82",
+    ("torsion -h", 80):
+        "ad75468b0a3daf878f23f1a67102bf9a1dc8106877db2d786d35489551b93af3",
+    ("torsion -h", 200):
+        "ad75468b0a3daf878f23f1a67102bf9a1dc8106877db2d786d35489551b93af3",
+    ("fiber -h", 40):
+        "e80ce21d18846552e60bd6ddac76c695cf2bfdbe6672f51984453283800ec35b",
+    ("fiber -h", 80):
+        "e20f5db4afe1f00198de741c0264ea1717f49be43fc5b88fd49c92e1a933ebe7",
+    ("fiber -h", 200):
+        "e20f5db4afe1f00198de741c0264ea1717f49be43fc5b88fd49c92e1a933ebe7",
+    ("hilbert -h", 40):
+        "40377bd2c013fe9c6c53337e2fa278e489a2f8f1a05ef0d8ca4bf72e305f3742",
+    ("hilbert -h", 80):
+        "955ca0827652a76552a3690e4fb5e75c8f7ba751132b70f86a3677b1766cdb97",
+    ("hilbert -h", 200):
+        "955ca0827652a76552a3690e4fb5e75c8f7ba751132b70f86a3677b1766cdb97",
+    ("pn -h", 40):
+        "42b74dd6e618a76657b7eb39edafe4795fc2002f8748ea42b3da347438b3fa4a",
+    ("pn -h", 80):
+        "1de72dc6c8f86f7e0f1a773ca7ecbb37bbade158a30ff18d0a3dbfb6a5f89b23",
+    ("pn -h", 200):
+        "1de72dc6c8f86f7e0f1a773ca7ecbb37bbade158a30ff18d0a3dbfb6a5f89b23",
+    ("pplus -h", 40):
+        "dc0699fe66919f3a7d1d5ebdb0271901ba37f25ae7d3d3e54181803e2189bfdd",
+    ("pplus -h", 80):
+        "35cb90e4f3a3431bb098232bbc01793ca80e21b598cffe86c91a4ed486c41528",
+    ("pplus -h", 200):
+        "35cb90e4f3a3431bb098232bbc01793ca80e21b598cffe86c91a4ed486c41528",
+    ("twist -h", 40):
+        "bd8e29148868dd6ab227bcbaf2df3a4ac98030cfa52005299a2f4669fdff2499",
+    ("twist -h", 80):
+        "95a70f1d3e6dac42bb6211835f9953197f726d0024a357eba682a400e926418e",
+    ("twist -h", 200):
+        "95a70f1d3e6dac42bb6211835f9953197f726d0024a357eba682a400e926418e",
+    ("member -h", 40):
+        "d0aeb3d843ec310272391ac37996a08bcfb817b6df1fc76c71ab2156a2f4c78a",
+    ("member -h", 80):
+        "71f5bb3a4a866fa8d1f7e3e3859db6c183498a173383ad183802dfebcfb0d2aa",
+    ("member -h", 200):
+        "71f5bb3a4a866fa8d1f7e3e3859db6c183498a173383ad183802dfebcfb0d2aa",
+    ("colon -h", 40):
+        "5ff5c1ee11ce22e3084c38df9684e1a2d0d1559718d16d86733822cefcb0409f",
+    ("colon -h", 80):
+        "7747a300afac5d5f1e024439a33e2d9172066fc4757d07b724cd289db7372a82",
+    ("colon -h", 200):
+        "7747a300afac5d5f1e024439a33e2d9172066fc4757d07b724cd289db7372a82",
+    ("verify-link -h", 40):
+        "58cb8c4f01a20d362ce50517833185ea7fdc7ffc7f3ec0d033b978aa28ac6d5e",
+    ("verify-link -h", 80):
+        "a64e8d4d69e0cd1e8e8125f3fd5adf8ab3f8563496c6c23c1a419015c334a8dd",
+    ("verify-link -h", 200):
+        "a64e8d4d69e0cd1e8e8125f3fd5adf8ab3f8563496c6c23c1a419015c334a8dd",
+    ("verify-decomp -h", 40):
+        "1a822b2dd3235a5deac9dce45a17e7f0a10daeae806ea3128f48bcc1dce3114e",
+    ("verify-decomp -h", 80):
+        "7dc12a2ce3d353fdfa8d862588cb8b219a1a1215b7fffc6712d8b2bef8b6b263",
+    ("verify-decomp -h", 200):
+        "7dc12a2ce3d353fdfa8d862588cb8b219a1a1215b7fffc6712d8b2bef8b6b263",
+    ("laurent-check -h", 40):
+        "345a26e386cff3d7e62263954945358223906ac7021ff832cee3a298490cb913",
+    ("laurent-check -h", 80):
+        "2c0969c4dbafc594dc2fc70c7b2552c0741fb81152f6a84d94a5681ed7b178e2",
+    ("laurent-check -h", 200):
+        "2c0969c4dbafc594dc2fc70c7b2552c0741fb81152f6a84d94a5681ed7b178e2",
+    ("", 40):
+        "b5abea845a18cc59a7c32a768a5839c5b96af27079292868d84bbd1b96d9b7c7",
+    ("", 80):
+        "b5abea845a18cc59a7c32a768a5839c5b96af27079292868d84bbd1b96d9b7c7",
+    ("", 200):
+        "23a4f64ff44b9f0190ec85951623ee200f76c13d45fa482f14d30439545a99b6",
+    ("bogus", 40):
+        "1becf18ad5a51b3abb86c1dbd3dc3c32e7e2582b2f908d9573b8e6e5baa1a0a8",
+    ("bogus", 80):
+        "1becf18ad5a51b3abb86c1dbd3dc3c32e7e2582b2f908d9573b8e6e5baa1a0a8",
+    ("bogus", 200):
+        "7969cb9dc13cb03b61e30d2938c727517d2ba73365e7c0fc46754bddc7935bc4",
+    ("laurent-check -k 3 --bogus", 40):
+        "d12c43b53d49f4f8a57dab2ac9467cfc39caad0e1d77babb0dd7ab7309bcdaf9",
+    ("laurent-check -k 3 --bogus", 80):
+        "d12c43b53d49f4f8a57dab2ac9467cfc39caad0e1d77babb0dd7ab7309bcdaf9",
+    ("laurent-check -k 3 --bogus", 200):
+        "69f73fe9577cfbd030b0276cc50877fd44df0f6a87c682c4421ad7dcd7d21b01",
+    ("torsion -d x -n 2", 40):
+        "4e487131623bc8bb4ba5a9cc244ddeddc3b4deded7a7e1d0af13e896ecfa1ea2",
+    ("torsion -d x -n 2", 80):
+        "d21b47fc27a2ef5adcc8387f41a6159437a866a50219a89d2f616eb6f2c475eb",
+    ("torsion -d x -n 2", 200):
+        "d21b47fc27a2ef5adcc8387f41a6159437a866a50219a89d2f616eb6f2c475eb",
+    ("member --ideal zz -n 3", 40):
+        "ade4c21fdb9a15b1e42941dbfc61026f783e15488e2bcbd9e94be6f50d7d0af7",
+    ("member --ideal zz -n 3", 80):
+        "1449eab97d398a50feb21df187b8afce41b9566bcf7645ca021045234fb84cc3",
+    ("member --ideal zz -n 3", 200):
+        "1449eab97d398a50feb21df187b8afce41b9566bcf7645ca021045234fb84cc3",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != HELP_TEXT_PYTHON,
+                    reason="help text digests are for Python 3.11")
+@pytest.mark.parametrize("args, columns", sorted(HELP_TEXT_DIGESTS))
+def test_help_usage_and_error_text_are_pinned(capsys, monkeypatch, args,
+                                              columns):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    argv = args.split()
+    code, out, err = run(capsys, argv)
+    assert code == (0 if "-h" in argv else 2)
+    digest = hashlib.sha256((out + "\0" + err).encode()).hexdigest()
+    assert digest == HELP_TEXT_DIGESTS[args, columns]
