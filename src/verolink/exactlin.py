@@ -19,10 +19,12 @@ with positive pivots and entries above a pivot reduced into
 ``[0, pivot)``.  The Hermite form is the one lattice routine: the Smith
 form alternates row and column Hermite forms until the matrix is
 diagonal, and lattice coordinates are read off Hermite basis rows.  A
-Hermite or Smith form whose transforms would be discarded (the Smith
-rounds, invariant factors and lattice bases) builds none.  Only ``det``
-eliminates on its own, by Bareiss steps, so that it can check the
-transforms independently.
+transform is carried columns: the identity rides to the right of the
+matrix through the same row operations and ends up holding the
+transform, so no elimination step branches on one.  Where a transform
+would be discarded (invariant factors, the Smith diagonal, lattice
+bases) the carried rows are empty.  Only ``det`` eliminates on its own,
+by Bareiss steps, so that it can check the transforms independently.
 """
 
 from __future__ import annotations
@@ -121,39 +123,36 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
     Returns ``(H, U)`` with U unimodular and ``U @ M == H``.  Pivots are
-    positive and every entry above a pivot lies in ``[0, pivot)``.
+    positive and every entry above a pivot lies in ``[0, pivot)``.  U is
+    the identity carried to the right of M.
     """
-    H = [row[:] for row in M.data]
-    U = IntMatrix.identity(M.rows).data
-    _hermite(H, U)
+    H, U = _hermite_carrying(M.data, IntMatrix.identity(M.rows).data, M.cols)
     return IntMatrix(H, cols=M.cols), IntMatrix(U, cols=M.rows)
 
 
-def _row_sub(H: list[list[int]], U: list[list[int]] | None,
-             i: int, k: int, q: int, pc: int) -> None:
-    """Row i minus q times row k, in H and in U; both rows are zero left
-    of column pc in H, so only columns ``pc..`` of H are rewritten."""
+def _row_sub(H: list[list[int]], i: int, k: int, q: int, pc: int) -> None:
+    """Row i minus q times row k; row k is zero left of column pc, so
+    only columns ``pc..`` of row i are rewritten."""
     if q:
         Hi, Hk = H[i], H[k]
         H[i] = Hi[:pc] + [x - q * y for x, y in zip(Hi[pc:], Hk[pc:])]
-        if U is not None:
-            U[i] = [x - q * y for x, y in zip(U[i], U[k])]
 
 
-def _echelon(H: list[list[int]], U: list[list[int]] | None) -> list[int]:
+def _echelon(H: list[list[int]], width: int | None = None) -> list[int]:
     """Bring the rows H to row echelon form in place by Euclidean steps,
-    applying each row operation to U as well; U is None when the caller
-    discards it.  Returns the pivot columns.
+    with pivots in the first ``width`` columns (in all when None); the
+    columns right of them ride along.  Returns the pivot columns.
 
     Pivots are positive and the zero rows come last.  At pivot column
     pc, every row from the pivot row down is zero left of pc, and no
     step reads a row above it.
     """
     rows = len(H)
-    cols = len(H[0]) if rows else 0
+    if width is None:
+        width = len(H[0]) if rows else 0
     pivots = []
     pr = 0
-    for pc in range(cols):
+    for pc in range(width):
         if pr >= rows:
             break
         # Pick the nonzero entry of least magnitude as the pivot; small
@@ -168,12 +167,10 @@ def _echelon(H: list[list[int]], U: list[list[int]] | None) -> list[int]:
                 break
             if best != pr:
                 H[pr], H[best] = H[best], H[pr]
-                if U is not None:
-                    U[pr], U[best] = U[best], U[pr]
             clean = True
             for i in range(pr + 1, rows):
                 if H[i][pc]:
-                    _row_sub(H, U, i, pr, H[i][pc] // H[pr][pc], pc)
+                    _row_sub(H, i, pr, H[i][pc] // H[pr][pc], pc)
                     if H[i][pc]:
                         clean = False
             if clean:
@@ -182,55 +179,53 @@ def _echelon(H: list[list[int]], U: list[list[int]] | None) -> list[int]:
             continue
         if H[pr][pc] < 0:
             H[pr] = [-x for x in H[pr]]
-            if U is not None:
-                U[pr] = [-x for x in U[pr]]
         pivots.append(pc)
         pr += 1
     return pivots
 
 
-def _hermite(H: list[list[int]], U: list[list[int]] | None) -> None:
-    """Bring the rows H to Hermite form in place, applying each row
-    operation to U as well; U is None when the caller discards it.
+def _hermite(H: list[list[int]], width: int | None = None) -> None:
+    """Bring the rows H to Hermite form in place, with pivots in the
+    first ``width`` columns (in all when None).
 
     After the echelon form, the entries above each pivot are reduced
     into ``[0, pivot)``, pivot by pivot from the left.  No echelon step
-    reads a row above its pivot, so H and U are the same as if each
-    column were reduced as soon as its pivot is found.
+    reads a row above its pivot, so H is the same as if each column were
+    reduced as soon as its pivot is found.
     """
-    for pr, pc in enumerate(_echelon(H, U)):
+    for pr, pc in enumerate(_echelon(H, width)):
         for i in range(pr):
-            _row_sub(H, U, i, pr, H[i][pc] // H[pr][pc], pc)
+            _row_sub(H, i, pr, H[i][pc] // H[pr][pc], pc)
 
 
 def _transpose(rows: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*rows)]
 
 
-def _hermite_carrying(A: list[list[int]], T: list[list[int]]
+def _hermite_carrying(A: list[list[int]], T: list[list[int]],
+                      width: int | None = None
                       ) -> tuple[list[list[int]], list[list[int]]]:
     """Hermite form of the rows A, and the rows T with the same row
-    operations applied.
+    operations applied: a transform is columns carried to the right.
 
-    T rides to the right of A in one Hermite form of ``[A | T]``.  A's
-    columns come first, so its part of the result is the Hermite form of
-    A; the later pivots in T's columns only combine rows that are zero
-    on A.  So the second part is V @ T for a unimodular V with V @ A
-    equal to the first, and a transform composes without a matrix
-    product; the transform of ``[A | T]`` itself is never built.
+    One Hermite form of ``[A | T]`` gives both.  With ``width`` A's
+    column count the pivots stay in A.  With ``width`` None they may go
+    on into T, but A's columns come first, so A's part is still its
+    Hermite form and the later pivots only combine rows that are zero on
+    A; the second part is then V @ T for a unimodular V with V @ A equal
+    to the first, and a transform composes without a matrix product.
     """
-    k = len(A[0])
+    k = len(A[0]) if A else 0
     H = [a + t for a, t in zip(A, T)]
-    _hermite(H, None)
+    _hermite(H, width)
     return [row[:k] for row in H], [row[k:] for row in H]
 
 
-def _smith(A: list[list[int]], U: list[list[int]] | None,
-           W: list[list[int]] | None) -> int:
+def _smith(A: list[list[int]], U: list[list[int]], Wt: list[list[int]]) -> int:
     """Bring the rows A to Smith form in place and return its rank,
     applying each row operation to the rows of U and each column
-    operation to the columns of W; U and W are None when the caller
-    discards them, and then no transform is built.
+    operation to the rows of Wt, the transposed column transform.  A
+    caller that discards the transforms gives them as empty rows.
 
     Row and column Hermite forms alternate until A is diagonal (Kannan
     and Bachem 1979): each round either strictly lowers a leading pivot
@@ -240,17 +235,10 @@ def _smith(A: list[list[int]], U: list[list[int]] | None,
     form puts the nonzero diagonal entries first, and 2x2 gcd/lcm steps
     then turn them into a divisibility chain.
     """
-    _hermite(A, U)
+    A[:], U[:] = _hermite_carrying(A, U, len(Wt))
     while any(x for i, row in enumerate(A) for j, x in enumerate(row) if i != j):
-        if U is None:
-            At = _transpose(A)
-            _hermite(At, None)
-            A[:] = _transpose(At)
-            _hermite(A, None)
-        else:
-            At, Wt = _hermite_carrying(_transpose(A), _transpose(W))
-            A[:], U[:] = _hermite_carrying(_transpose(At), U)
-            W[:] = _transpose(Wt)
+        At, Wt[:] = _hermite_carrying(_transpose(A), Wt)
+        A[:], U[:] = _hermite_carrying(_transpose(At), U)
 
     rank = sum(1 for i, row in enumerate(A) if i < len(row) and row[i])
     for i in range(rank):
@@ -260,16 +248,14 @@ def _smith(A: list[list[int]], U: list[list[int]] | None,
                 continue
             g = gcd(a, b)
             x, y = b // g, a // g
-            if U is not None:
-                # [[s, t], [-b/g, a/g]] @ diag(a, b) @ [[1, -t*b/g], [1, s*a/g]]
-                # is diag(g, lcm), with both factors of determinant one.
-                s = pow(y, -1, x)
-                t = (g - s * a) // b
-                U[i], U[j] = ([s * p + t * q for p, q in zip(U[i], U[j])],
-                              [y * q - x * p for p, q in zip(U[i], U[j])])
-                for row in W:
-                    row[i], row[j] = (row[i] + row[j],
-                                      s * y * row[j] - t * x * row[i])
+            # [[s, t], [-b/g, a/g]] @ diag(a, b) @ [[1, -t*b/g], [1, s*a/g]]
+            # is diag(g, lcm), with both factors of determinant one.
+            s = pow(y, -1, x)
+            t = (g - s * a) // b
+            U[i], U[j] = ([s * p + t * q for p, q in zip(U[i], U[j])],
+                          [y * q - x * p for p, q in zip(U[i], U[j])])
+            Wt[i], Wt[j] = ([p + q for p, q in zip(Wt[i], Wt[j])],
+                            [s * y * q - t * x * p for p, q in zip(Wt[i], Wt[j])])
             A[i][i], A[j][j] = g, a * x
     return rank
 
@@ -284,16 +270,17 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """
     S = [row[:] for row in M.data]
     U = IntMatrix.identity(M.rows).data
-    W = IntMatrix.identity(M.cols).data
-    _smith(S, U, W)
+    Wt = IntMatrix.identity(M.cols).data
+    _smith(S, U, Wt)
     return (IntMatrix(U, cols=M.rows), IntMatrix(S, cols=M.cols),
-            IntMatrix(W, cols=M.cols))
+            IntMatrix(Wt, cols=M.cols).transpose())
 
 
 def _smith_diagonal(M: IntMatrix) -> list[int]:
     """The nonzero diagonal of the Smith form of M, without transforms."""
     S = [row[:] for row in M.data]
-    return [S[i][i] for i in range(_smith(S, None, None))]
+    rank = _smith(S, [[] for _ in S], [[] for _ in range(M.cols)])
+    return [S[i][i] for i in range(rank)]
 
 
 def det(M: IntMatrix) -> int:
@@ -332,18 +319,17 @@ def kernel_lattice(M: IntMatrix) -> IntMatrix:
     """
     H, U = hermite_normal_form(M.transpose())
     basis = []
-    for i in range(H.rows):
-        if all(x == 0 for x in H.data[i]):
-            vec = U.data[i]
+    for row, vec in zip(H.data, U.data):
+        if not any(row):
             lead = next((x for x in vec if x != 0), 0)
-            basis.append([-x for x in vec] if lead < 0 else list(vec))
+            basis.append([-x for x in vec] if lead < 0 else vec)
     return IntMatrix.from_columns(basis, rows=M.cols)
 
 
 def column_lattice_basis(M: IntMatrix) -> IntMatrix:
     """A basis (as columns) of the lattice spanned by the columns of M."""
     H = M.transpose().data
-    _hermite(H, None)
+    _hermite(H)
     basis = [row for row in H if any(x != 0 for x in row)]
     return IntMatrix.from_columns(basis, rows=M.rows)
 
@@ -418,7 +404,7 @@ def rational_rref(M: IntMatrix) -> tuple[list[list[Fraction]], list[int]]:
     stays in the integers until the final division by the pivot.
     """
     a = [row[:] for row in M.data]
-    pivots = _echelon(a, None)
+    pivots = _echelon(a)
     for r in reversed(range(len(pivots))):
         row = a[r]
         for s in range(r + 1, len(pivots)):
@@ -432,7 +418,7 @@ def rational_rref(M: IntMatrix) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rational_rank(M: IntMatrix) -> int:
-    return len(_echelon([row[:] for row in M.data], None))
+    return len(_echelon([row[:] for row in M.data]))
 
 
 def rational_nullspace(M: IntMatrix) -> IntMatrix:

@@ -15,7 +15,7 @@ import re
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from operator import add
+from operator import add, ge
 
 from .errors import SizeCapExceeded
 from .veronese import (character_pairs, check_size, column_position,
@@ -308,9 +308,9 @@ def _parity_diffs(fiber: list[tuple[int, ...]], n: int) -> list[int]:
 def _components(fiber: list[tuple[int, ...]], edges: list[tuple]
                 ) -> tuple[list[int], int]:
     """Each fiber point's component, numbered in the order of first
-    points, and the component count, for edges (support, du) joining p
-    to p + du at each p with p[i] >= e for every (i, e) of the support;
-    a p + du outside the fiber joins nothing."""
+    points, and the component count, for edges (u0, du) joining p to
+    p + du at each p >= u0 (entrywise); a p + du outside the fiber joins
+    nothing."""
     index = {p: k for k, p in enumerate(fiber)}
     parent = list(range(len(fiber)))
 
@@ -320,9 +320,9 @@ def _components(fiber: list[tuple[int, ...]], edges: list[tuple]
             x = parent[x]
         return x
 
-    for support, du in edges:
+    for u0, du in edges:
         for k, p in enumerate(fiber):
-            if all(p[i] >= e for i, e in support):
+            if all(map(ge, p, u0)):
                 j = index.get(tuple(map(add, p, du)))
                 if j is not None:
                     parent[find(j)] = find(k)
@@ -376,15 +376,15 @@ def connectivity_classes(n: int, b, moves: list[tuple[int, ...]]
     """Partition the fiber of b into components of the move graph.
 
     Edges join u and u + m for each move m whenever both endpoints are
-    nonnegative: the ``_components`` edge whose support is the negative
-    part of m.  With the principal 2-minor vectors as moves this is the
+    nonnegative: the ``_components`` edge whose u0 is the negative part
+    of m.  With the principal 2-minor vectors as moves this is the
     brute-force oracle for ``class_key``.
     """
     size = len(variable_multisets(2, n))
     if any(len(m) != size for m in moves):
         raise ValueError("move over a different variable set")
     raw = _raw_fiber(2, n, tuple(b))
-    edges = [([(i, -e) for i, e in enumerate(m) if e < 0], m) for m in moves]
+    edges = [(tuple(max(-e, 0) for e in m), m) for m in moves]
     component, count = _components(raw, edges)
     # ``raw`` is sorted, so each group is too.
     groups: list[list[tuple[int, ...]]] = [[] for _ in range(count)]

@@ -156,13 +156,12 @@ def _split_edges(prepared: list[tuple]) -> tuple[list[tuple], list[tuple]]:
     """Prepared generators split into edges and the rest.
 
     A binomial c*(x^u0 - x^(u0+du)) makes every column m*g an edge
-    vector c*(e_p - e_(p+du)); it is kept as du and the (position,
-    exponent) support of u0.  Every principal minor is one."""
+    vector c*(e_p - e_(p+du)); it is kept as (u0, du).  Every principal
+    minor is one."""
     edges, others = [], []
     for u0, offsets in prepared:
         if len(offsets) == 2 and offsets[0][1] == -offsets[1][1]:
-            edges.append(([(k, v) for k, v in enumerate(u0) if v],
-                          offsets[1][0]))
+            edges.append((u0, offsets[1][0]))
         else:
             others.append((u0, offsets))
     return edges, others

@@ -222,19 +222,19 @@ def test_torsion_and_invariant_factors_build_no_smith_transform(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a factor-only path built a Smith transform")
 
-    for name in ("_hermite_carrying", "smith_normal_form"):
-        monkeypatch.setattr(exactlin, name, refuse)
+    monkeypatch.setattr(exactlin, "smith_normal_form", refuse)
+    # Every transform is carried columns; a discarded one has empty rows.
     carried = []
-    hermite = exactlin._hermite
+    carrying = exactlin._hermite_carrying
 
-    def counting(H, U):
-        carried.append(U is not None)
-        return hermite(H, U)
+    def counting(A, T, width=None):
+        carried.append(any(T))
+        return carrying(A, T, width)
 
-    monkeypatch.setattr(exactlin, "_hermite", counting)
+    monkeypatch.setattr(exactlin, "_hermite_carrying", counting)
     assert invariant_factors(IntMatrix.from_columns([(2, 0), (0, 6)]),
                              IntMatrix.identity(2)) == [2, 6]
-    assert not any(carried)
+    assert carried and not any(carried)
     # The one transform on the torsion path is the kernel basis's.
     assert higher_torsion(3, 4) == [3] * 13
     assert carried.count(True) == 1
@@ -341,9 +341,9 @@ def test_every_row_reduction_runs_the_echelon_pass(monkeypatch, name):
     calls = []
     echelon = exactlin._echelon
 
-    def counting(H, U):
+    def counting(H, width=None):
         calls.append(len(H))
-        return echelon(H, U)
+        return echelon(H, width)
 
     monkeypatch.setattr(exactlin, "_echelon", counting)
     assert reduce_(ONE_LOOP_MATRIX) == expected
@@ -356,7 +356,7 @@ def test_ranks_and_echelon_forms_need_no_hermite_form(monkeypatch, name):
     reduce_ = ROW_REDUCTIONS[name]
     expected = reduce_(ONE_LOOP_MATRIX)
 
-    def refuse(H, U):
+    def refuse(H, width=None):
         raise AssertionError("a rational reduction reached the Hermite form")
 
     monkeypatch.setattr(exactlin, "_hermite", refuse)

@@ -70,6 +70,9 @@ def homogeneous_polys(draw, n, b):
 int_matrices = st.integers(1, 4).flatmap(lambda cols: st.lists(
     st.lists(st.integers(-5, 5), min_size=cols, max_size=cols),
     min_size=1, max_size=4).map(lambda rows: IntMatrix(rows, cols=cols)))
+zero_matrices = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+    lambda shape: IntMatrix([[0] * shape[1] for _ in range(shape[0])],
+                            cols=shape[1]))
 
 
 @st.composite
@@ -273,7 +276,10 @@ def test_class_route_equals_the_public_fiber_route(data):
 
 
 @PROPERTY
-@given(int_matrices)
+@given(st.one_of(zero_matrices, int_matrices))
+@example(IntMatrix([], cols=3))
+@example(IntMatrix([[], []], cols=0))
+@example(IntMatrix([], cols=0))
 def test_the_hermite_transform_is_unimodular_and_gives_the_form(M):
     H, U = hermite_normal_form(M)
     assert U.mul(M) == H
@@ -281,7 +287,10 @@ def test_the_hermite_transform_is_unimodular_and_gives_the_form(M):
 
 
 @PROPERTY
-@given(int_matrices)
+@given(st.one_of(zero_matrices, int_matrices))
+@example(IntMatrix([], cols=3))
+@example(IntMatrix([[], []], cols=0))
+@example(IntMatrix([], cols=0))
 def test_the_smith_transforms_are_unimodular_and_give_the_form(M):
     U, S, W = smith_normal_form(M)
     assert U.mul(M).mul(W) == S
@@ -290,9 +299,6 @@ def test_the_smith_transforms_are_unimodular_and_give_the_form(M):
                for j, x in enumerate(row) if i != j)
 
 
-zero_matrices = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
-    lambda shape: IntMatrix([[0] * shape[1] for _ in range(shape[0])],
-                            cols=shape[1]))
 single_rows = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(
     lambda row: IntMatrix([row]))
 single_columns = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(
@@ -322,7 +328,7 @@ def test_the_echelon_rank_counts_the_rref_pivots(M):
 @given(st.one_of(int_matrices, deficient_int_matrices()))
 def test_the_transform_free_hermite_form_is_the_hermite_form(M):
     H = [row[:] for row in M.data]
-    _hermite(H, None)
+    _hermite(H)
     assert H == hermite_normal_form(M)[0].data
 
 
