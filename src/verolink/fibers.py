@@ -30,9 +30,11 @@ ASCII_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 def size_cap() -> int:
-    """Fiber-point cap, the one size limit of the package; ``_class_maxima``
-    counts the 2^binom(n-1, 2) parity classes it builds against it, and
-    ``_check_level`` the monomials of a degree level.
+    """Fiber-point cap, the one size limit of the package.  Through
+    ``_check_count``, ``_class_maxima`` counts against it the
+    2^binom(n-1, 2) parity classes it builds, ``link.zonotope_poly`` its
+    2^binom(n-1, 2) terms, and ``_check_level`` the monomials of a
+    degree level.
 
     VLAB_SIZE_CAP overrides the default and must be a non-negative
     integer in ASCII digits, with an optional sign and surrounding
@@ -47,6 +49,14 @@ def size_cap() -> int:
         raise ValueError(
             f"VLAB_SIZE_CAP must be a non-negative integer, got {raw!r}")
     return limit
+
+
+def _check_count(count: int, what: str) -> None:
+    """Raise SizeCapExceeded, naming the ``count`` ``what``, when count
+    passes ``size_cap()``."""
+    limit = size_cap()
+    if count > limit:
+        raise SizeCapExceeded(f"the {count} {what} exceed the size cap {limit}")
 
 
 @lru_cache(maxsize=None)
@@ -171,11 +181,8 @@ def _check_level(n: int, s: int) -> None:
     the multisets of s/2 of the binom(n+1, 2) columns, pass
     ``size_cap()``."""
     check_size(2, n)
-    limit = size_cap()
-    count = comb(comb(n + 1, 2) + s // 2 - 1, s // 2)
-    if count > limit:
-        raise SizeCapExceeded(f"the {count} monomials of coordinate sum {s} "
-                              f"exceed the size cap {limit}")
+    _check_count(comb(comb(n + 1, 2) + s // 2 - 1, s // 2),
+                 f"monomials of coordinate sum {s}")
 
 
 def _fibers_of_sum(n: int, s: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -246,10 +253,8 @@ def _class_maxima(n: int, b: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
         return {}
     pos = column_position(2, n)
     pairs = [(pos[i, j], i - 1, j - 1) for i, j in character_pairs(n)]
-    classes, limit = 1 << len(pairs), size_cap()
-    if classes > limit:
-        raise SizeCapExceeded(f"the {classes} classes of the fiber of {b} "
-                              f"exceed the size cap {limit}")
+    classes = 1 << len(pairs)
+    _check_count(classes, f"classes of the fiber of {b}")
     maxima: dict[int, tuple[int, ...]] = {}
     for mask in range(classes):
         exps, left = [0] * len(pos), list(b)

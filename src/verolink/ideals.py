@@ -7,16 +7,8 @@ from itertools import combinations
 from .exactlin import IntMatrix
 from .fibers import _fibers_of_sum
 from .poly import SparsePoly
-from .veronese import (check_size, column_position, minor_vector,
+from .veronese import (check_size, column_position, monomial,
                        variable_multisets)
-
-
-def binomial_from_vector(n: int, v: tuple[int, ...]) -> SparsePoly:
-    """The pure difference binomial x^(v+) - x^(v-) of a signed exponent
-    vector, dense in the column order of ``variable_multisets(2, n)``."""
-    plus = tuple(x if x > 0 else 0 for x in v)
-    minus = tuple(-x if x < 0 else 0 for x in v)
-    return SparsePoly(n, {plus: 1}) - SparsePoly(n, {minus: 1})
 
 
 def principal_minor_gens(n: int) -> list[SparsePoly]:
@@ -28,7 +20,8 @@ def principal_minor_gens(n: int) -> list[SparsePoly]:
     if n < 2:
         raise ValueError("need n >= 2")
     check_size(2, n)
-    return [binomial_from_vector(n, minor_vector(i, j, i, j, n))
+    return [SparsePoly(n, {monomial(n, {(i, i): 1, (j, j): 1}): 1,
+                           monomial(n, {(i, j): 2}): -1})
             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
@@ -91,6 +84,6 @@ def generator_lattice(vectors: list[tuple[int, ...]]) -> IntMatrix:
 
 
 __all__ = [
-    "binomial_from_vector", "generator_lattice", "higher_veronese_gens",
-    "principal_minor_gens", "veronese_minor_gens",
+    "generator_lattice", "higher_veronese_gens", "principal_minor_gens",
+    "veronese_minor_gens",
 ]

@@ -10,10 +10,10 @@ builds those polynomials and checks the identities relating them.
 
 from __future__ import annotations
 
-from .fibers import _class_maxima, minimal_saturated_fibers
+from .fibers import _check_count, _class_maxima, minimal_saturated_fibers
 from .ideals import principal_minor_gens
 from .poly import SparsePoly, normal_form, twist, twisting_from_character
-from .veronese import character_pairs, monomial, pair_count
+from .veronese import character_pairs, check_size, monomial, pair_count
 
 
 def zonotope_poly(n: int) -> SparsePoly:
@@ -23,9 +23,13 @@ def zonotope_poly(n: int) -> SparsePoly:
     x_ij*x_nn + x_in*x_jn.  Homogeneous of multidegree
     (n-2, ..., n-2, 2*binom(n-1, 2)); all coefficients are one because
     the off-diagonal entries of a term identify its factor choices.
+    Raises SizeCapExceeded before the first product when its
+    2^binom(n-1, 2) terms pass ``size_cap()``.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    check_size(2, n)
+    _check_count(1 << pair_count(n - 1), "terms of the zonotope polynomial")
     result = SparsePoly.constant(n, 1)
     for i, j in character_pairs(n):
         factor = SparsePoly(n, {monomial(n, {(i, j): 1, (n, n): 1}): 1,

@@ -318,6 +318,7 @@ def test_bad_size_cap_is_a_usage_error(capsys, monkeypatch, value, degree):
     "fiber -n 3 -b 2,1,1 --classes",
     "hilbert -n 3 --max-sum 4",
     "pplus -n 3 -i 1",
+    "pn -n 3",
     "verify-link -n 3 --bound 4",
     "verify-decomp -n 3 --bound 4",
 ])
@@ -345,6 +346,25 @@ def test_pplus_at_n8_stops_at_its_class_count(capsys):
     code, out, err = run(capsys, ["pplus", "-n", "8", "-i", "1"])
     assert code == 3 and out == ""
     assert "2097152 classes" in err
+
+
+def test_pn_at_n8_stops_at_its_term_count(capsys):
+    # The same 2^21 count, of the zonotope's terms, before any product.
+    code, out, err = run(capsys, ["pn", "-n", "8"])
+    assert code == 3 and out == ""
+    assert "2097152 terms" in err
+
+
+@pytest.mark.parametrize("cap, code", [("63", 3), ("64", 0)])
+def test_pn_meets_the_cap_at_its_term_count(capsys, monkeypatch, cap, code):
+    # binom(4, 2) = 6 factors at n = 5: 2^6 terms.
+    monkeypatch.setenv("VLAB_SIZE_CAP", cap)
+    got, out, err = run(capsys, ["pn", "-n", "5"])
+    assert got == code
+    if code:
+        assert out == "" and err.endswith("exceed the size cap 63\n")
+    else:
+        assert out.count(" + ") == 63 and err == ""
 
 
 def test_the_verify_size_cap_counts_the_largest_level(capsys, monkeypatch):
