@@ -3,15 +3,19 @@
 Exit codes: 0 on success or a verified/affirmative result, 1 when a
 verification or membership check comes back negative, 2 on usage or
 input errors (a ``ValueError``), 3 when an enumeration hits the size cap
-(``SizeCapExceeded``).  Either way stderr is ``error: <message>``.  The
-environment variable VLAB_SIZE_CAP, a non-negative integer, is that cap
-for every command and for the library alike.
+(``SizeCapExceeded``).  Either way stderr is ``error: <message>``.  A
+command whose stdout reader is gone (``verolink fiber ... | head -n 1``)
+exits 141, what a shell reports for a process ended by SIGPIPE, and
+prints nothing to stderr.  The environment variable VLAB_SIZE_CAP, a
+non-negative integer, is that cap for every command and for the library
+alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import groupby
 
@@ -29,6 +33,7 @@ from .verify import (colon_membership, group_algebra_subintersection,
 
 USAGE_ERROR = 2
 SIZE_CAP_ERROR = 3
+BROKEN_PIPE = 141
 
 
 # -- JSON polynomial schema --------------------------------------------
@@ -360,7 +365,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush
+        # at interpreter exit has somewhere to write what is left.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except SizeCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SIZE_CAP_ERROR

@@ -303,20 +303,12 @@ def class_key(u: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     return monomial_degree(u, n), off_diagonal_parities(u, n)
 
 
-def _parity_diffs(fiber: list[tuple[int, ...]], n: int) -> list[int]:
-    """Each point's ``off_diagonal_parities`` XOR those of the last,
-    largest point of a nonempty fiber sorted as ``_raw_fiber`` sorts it."""
-    base = off_diagonal_parities(fiber[-1], n)
-    return [off_diagonal_parities(p, n) ^ base for p in fiber]
-
-
-def _components(fiber: list[tuple[int, ...]], edges: list[tuple]
-                ) -> tuple[list[int], int]:
+def _components(fiber: list[tuple[int, ...]], index: dict[tuple[int, ...], int],
+                edges: list[tuple]) -> tuple[list[int], int]:
     """Each fiber point's component, numbered in the order of first
     points, and the component count, for edges (u0, du) joining p to
     p + du at each p >= u0 (entrywise); a p + du outside the fiber joins
-    nothing."""
-    index = {p: k for k, p in enumerate(fiber)}
+    nothing.  ``index`` maps each point to its position in the fiber."""
     parent = list(range(len(fiber)))
 
     def find(x: int) -> int:
@@ -390,7 +382,8 @@ def connectivity_classes(n: int, b, moves: list[tuple[int, ...]]
         raise ValueError("move over a different variable set")
     raw = _raw_fiber(2, n, tuple(b))
     edges = [(tuple(max(-e, 0) for e in m), m) for m in moves]
-    component, count = _components(raw, edges)
+    component, count = _components(raw, {p: k for k, p in enumerate(raw)},
+                                   edges)
     # ``raw`` is sorted, so each group is too.
     groups: list[list[tuple[int, ...]]] = [[] for _ in range(count)]
     for exps, c in zip(raw, component):

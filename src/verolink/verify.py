@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from itertools import groupby
 from operator import add, ge, or_, sub
 
 from .exactlin import (IntMatrix, _smith_diagonal, clear_denominators,
                        kernel_lattice, rational_nullspace, rational_rank)
-from .fibers import (_check_level, _components, _fibers_of_sum, _parity_diffs,
-                     _raw_fiber, degrees_up_to, minimal_saturated_fibers)
+from .fibers import (_check_level, _components, _fibers_of_sum, _raw_fiber,
+                     minimal_saturated_fibers, off_diagonal_parities)
 from .ideals import (generator_lattice, higher_veronese_gens,
                      principal_minor_gens, veronese_minor_gens)
 from .link import link_generators
@@ -84,13 +83,14 @@ def _character_rows(n: int, fiber: list[tuple[int, ...]],
                     masks: list[int]) -> IntMatrix:
     """The +-1 values of characters, given by their ``mask``, on a fiber
     as ``_raw_fiber`` gives it, relative to its canonical (largest) point:
-    -1 where an odd number of the ``_parity_diffs`` bits carry a minus
-    sign.  Masks that agree on the bits that vary over the fiber give one
+    -1 at a point whose ``off_diagonal_parities`` differ from the largest
+    point's in an odd number of the bits that carry a minus sign.  Masks that agree on the bits that vary over the fiber give one
     row, which keeps the row space.  An empty fiber, off the grading
     monoid, gives the 0x0 matrix."""
     if not fiber:
         return IntMatrix([], cols=0)
-    diffs = _parity_diffs(fiber, n)
+    base = off_diagonal_parities(fiber[-1], n)
+    diffs = [off_diagonal_parities(p, n) ^ base for p in fiber]
     varying = reduce(or_, diffs)
     rows = [[character_sign(minus, d) for d in diffs]
             for minus in sorted({m & varying for m in masks})]
@@ -169,13 +169,13 @@ def _split_edges(prepared: list[tuple]) -> tuple[list[tuple], list[tuple]]:
 
 def _character_rank(distinct: int, full: int, omitted: int | None) -> int:
     """Rank of the characters but the ``omitted`` one (of all when it is
-    None) on ``distinct`` of the ``full`` = 2^B parity diffs."""
+    None) on ``distinct`` of the ``full`` = 2^B parity masks."""
     return distinct - (omitted is not None and distinct == full)
 
 
 def _killed(sums: dict[int, int], full: int, omitted: int | None) -> bool:
     """Whether the characters but the ``omitted`` one (all when it is
-    None) kill a column with these coefficient sums per parity diff."""
+    None) kill a column with these coefficient sums per parity mask."""
     c = {d: x for d, x in sums.items() if x}
     return not c or (omitted is not None and len(c) == full and len(
         {x * character_sign(omitted, d) for d, x in c.items()}) == 1)
@@ -193,63 +193,61 @@ def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
       of their graph on the fiber (``_components``), and the quotient by
       that span sums the coordinates of each component, so the other
       columns add the rank of their component sums;
-    - a character row depends on a point only through its parity diff
-      (``_parity_diffs``), so the rows are Walsh functions on the
-      distinct diffs D inside (Z/2)^B, B = pair_count(n - 1), and a
-      column acts through its sums c per diff (an edge e_p - e_q is
-      {d_p: 1, d_q: -1}).
+    - a character row depends on a point only through its parity mask
+      (``off_diagonal_parities``), so the rows are Walsh functions on the
+      distinct masks D inside (Z/2)^B, B = pair_count(n - 1), and a
+      column acts through its sums c per mask (an edge e_p - e_q is
+      {m_p: 1, m_q: -1}).  The oracle reads each mask relative to the
+      largest point's; that multiplies each row by one sign, which moves
+      neither the rank nor the columns it kills.
 
     All 2^B Walsh functions form an invertible Hadamard matrix, so with
     every character (``omitted`` None) the rank is |D| and only c = 0 is
     killed.  Without the omitted row, a dependency among its columns is a
     c whose Walsh transform is a point mass at the omitted mask: c is a
     nonzero multiple of the omitted character, which has no zero entry.
-    So the rank is |D| - 1 when D is all 2^B diffs and |D| otherwise,
-    and c is killed when it is zero or covers all 2^B diffs with
-    c[d] * character_sign(omitted, d) the same for every d.  A fiber
-    whose diffs vary over fewer than B bits never covers the group; on
-    it, every character agrees with a present one.
+    So the rank is |D| - 1 when D is all 2^B masks and |D| otherwise,
+    and c is killed when it is zero or covers all 2^B masks with
+    c[m] * character_sign(omitted, m) the same for every m.  A fiber
+    whose masks vary over fewer than B bits never covers the group; on
+    it, every character is a present one times a sign.
 
     The edge columns enter through their components: in each, one column
-    {d0: 1, d: -1} for each distinct diff d other than d0, the diff of
+    {m0: 1, m: -1} for each distinct mask m other than m0, the mask of
     its first point.  The edges of a connected component span the same
     differences as these: along a path from the first point the edge
-    columns add up to e_d0 - e_d, and each edge column is a difference of
+    columns add up to e_m0 - e_m, and each edge column is a difference of
     two such.  The columns killed form a subspace, and ``_killed`` tests
     membership in it exactly, so every edge column is killed exactly
-    when every component column is."""
-    if not fiber:
-        return DegreeRecord(degree=b, fiber_size=0, ideal_dim=0,
-                            target_dim=0, equal=True)
-    component, count = _components(fiber, edges)
-    diff = _parity_diffs(fiber, n)
-    # Distinct (component, diff) pairs in point order, so the first pair
-    # of a component holds its d0.
+    when every component column is.  An empty fiber, off the grading
+    monoid, has every count 0: an empty, equal record."""
+    index = {p: k for k, p in enumerate(fiber)}
+    component, count = _components(fiber, index, edges)
+    mask = [off_diagonal_parities(p, n) for p in fiber]
+    # Distinct (component, mask) pairs in point order, so the first pair
+    # of a component holds its m0.
     first: dict[int, int] = {}
-    diff_sums = []
-    for c, d in dict.fromkeys(zip(component, diff)):
-        if first.setdefault(c, d) != d:
-            diff_sums.append({first[c]: 1, d: -1})
-    # Principal minors alone (verify-decomp, and verify-link below the
-    # extra generators' sum) are all edges: no point is looked up.
-    index = {p: k for k, p in enumerate(fiber)} if others else None
+    mask_sums = []
+    for c, m in dict.fromkeys(zip(component, mask)):
+        if first.setdefault(c, m) != m:
+            mask_sums.append({first[c]: 1, m: -1})
     sums = []
     for u0, offsets in others:
         for p in fiber:
             if all(map(ge, p, u0)):
-                vec, by_diff = [0] * count, {}
+                vec, by_mask = [0] * count, {}
                 for du, c in offsets:
                     k = index[tuple(map(add, p, du))]
                     vec[component[k]] += c
-                    by_diff[diff[k]] = by_diff.get(diff[k], 0) + c
+                    by_mask[mask[k]] = by_mask.get(mask[k], 0) + c
                 sums.append(vec)
-                diff_sums.append(by_diff)
+                mask_sums.append(by_mask)
     extra = rational_rank(IntMatrix.from_columns(sums)) if sums else 0
     di = len(fiber) - count + extra
 
     full = 1 << pair_count(n - 1)
-    dt = len(fiber) - _character_rank(len(set(diff)), full, omitted)
-    equal = di == dt and all(_killed(c, full, omitted) for c in diff_sums)
+    dt = len(fiber) - _character_rank(len(set(mask)), full, omitted)
+    equal = di == dt and all(_killed(c, full, omitted) for c in mask_sums)
     return DegreeRecord(degree=b, fiber_size=len(fiber), ideal_dim=di,
                         target_dim=dt, equal=equal)
 
@@ -259,19 +257,19 @@ def _check_degrees(n: int, gens: list[SparsePoly], omitted: int | None,
     """Per degree up to the bound, whether the generators span the common
     kernel of every sign character but the ``omitted`` one (of every
     character when it is None): the characters annihilate the span,
-    which has the kernel's dimension.  The fibers come one coordinate
-    sum at a time from ``_fibers_of_sum``.  A negative bound raises
-    ValueError."""
+    which has the kernel's dimension.  The degrees and their fibers come
+    one even coordinate sum at a time from ``_fibers_of_sum``, in lex
+    order; every degree of even sum has a nonempty fiber.  A negative
+    bound raises ValueError."""
     if bound < 0:
         raise ValueError("a negative degree bound leaves no degree to check")
     # The largest level first, so that a run past the size cap stops at once.
     _check_level(n, bound - bound % 2)
     edges, others = _split_edges(_prepared(gens, n))
     records = []
-    for s, level in groupby(degrees_up_to(n, bound), key=sum):
-        fibers = _fibers_of_sum(n, s)
-        records += [_decide_degree(b, n, fibers[b], edges, others,
-                                   omitted) for b in level]
+    for s in range(0, bound + 1, 2):
+        records += [_decide_degree(b, n, fiber, edges, others, omitted)
+                    for b, fiber in sorted(_fibers_of_sum(n, s).items())]
     return tuple(records)
 
 

@@ -1,7 +1,9 @@
 """The class route of the degree check against the fiber route.
 
-``_decide_degree`` decides a degree from union-find components, parity
-diffs and two Walsh-Hadamard facts about the omitted character.  The
+``_decide_degree`` decides a degree from union-find components, the
+points' parity masks and two Walsh-Hadamard facts about the omitted
+character; the fiber route reads the masks relative to the largest
+point, which multiplies each character row by one sign.  The
 fiber route below is the former loop body of ``_check_degrees``: one
 matrix row per fiber point, ranks by elimination and the product of
 characters and columns.  The two must agree record by record, on the

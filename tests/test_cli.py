@@ -604,6 +604,14 @@ RECORD_STREAM_DIGESTS = {
         "c398d43e54943bfb24e5624d2279675fbdb24d9541d6aaa3a22ebef3238034f2",
     "hilbert --json -n 4 --max-sum 6":
         "03471eaf1b49a568af1b2322c9d53ed117ba87615d00dfe5c7e695de42ca8e08",
+    # Binomial extra generators join parity classes into one component.
+    "verify-link -n 3 --bound 12 --omit 12:-":
+        "1458c89e241ff2665e22cff516db7a35e6ab746203f59707aa766ea1d900939c",
+    # Eight-term extra generators, summed per component and per mask.
+    "verify-link --json -n 4 --bound 12 --omit 13:-":
+        "c40aafbcbdeceea7c4e4ef378ac648923e70d91253f8aefaff143d3cee668c1a",
+    "verify-decomp --json -n 5 --bound 8":
+        "160d3c93ec06d16ff9baf6f6451b93a9ffbb8fdb4911058ad25983c47793882d",
 }
 
 
@@ -620,6 +628,22 @@ def test_record_stream_digest(args):
                           capture_output=True, check=True,
                           env=child_env())
     assert hashlib.sha256(done.stdout).hexdigest() == RECORD_STREAM_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", ["torsion -d 2 -n 4",
+                                  "fiber -n 6 -b 4,4,4,4,4,4"])
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(args):
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout, or the final flush, meets a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "verolink.cli", *args.split()],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env())
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_the_cli_loads_neither_dataclasses_nor_inspect():

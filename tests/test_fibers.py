@@ -12,8 +12,7 @@ from itertools import product
 import pytest
 
 from verolink.errors import SizeCapExceeded
-from verolink.fibers import (_class_maxima, _fibers_of_sum, _parity_diffs,
-                             _raw_fiber,
+from verolink.fibers import (_class_maxima, _fibers_of_sum, _raw_fiber,
                              canonical_representative, class_count, class_key,
                              connectivity_classes, degrees_up_to,
                              enumerate_fiber, fiber_classes,
@@ -241,12 +240,11 @@ def test_a_move_off_the_grading_kernel_joins_nothing():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_parity_diffs_are_relative_to_the_largest_point(n):
+def test_the_distinct_parity_masks_of_a_fiber_count_its_classes(n):
     for s in range(0, 9, 2):
         for b, fiber in _fibers_of_sum(n, s).items():
-            diffs = _parity_diffs(fiber, n)
-            assert diffs[-1] == 0
-            assert len(set(diffs)) == class_count(n, b)
+            masks = {off_diagonal_parities(p, n) for p in fiber}
+            assert len(masks) == class_count(n, b)
 
 
 def test_a_move_of_another_size_is_refused():
