@@ -26,13 +26,16 @@ from operator import add, ge, or_, sub
 from .exactlin import (IntMatrix, _smith_diagonal, clear_denominators,
                        kernel_lattice, rational_nullspace, rational_rank)
 from .fibers import (_check_level, _components, _fibers_of_sum, _raw_fiber,
-                     minimal_saturated_fibers, off_diagonal_parities)
+                     degrees_up_to, minimal_saturated_fibers,
+                     off_diagonal_parities)
 from .ideals import (generator_lattice, higher_veronese_gens,
                      principal_minor_gens, veronese_minor_gens)
 from .link import link_generators
 from .poly import (SparsePoly, _check_mask, all_characters, character_sign,
-                   character_spec, in_principal_minor_ideal, multidegree)
-from .veronese import pair_count, veronese_matrix
+                   character_spec, in_principal_minor_ideal, multidegree,
+                   normal_form)
+from .veronese import (column_position, pair, pair_count, variable_multisets,
+                       veronese_matrix)
 
 
 def _prepared(gens: list[SparsePoly], n: int) -> list[tuple]:
@@ -252,20 +255,110 @@ def _decide_degree(b: tuple[int, ...], n: int, fiber: list[tuple[int, ...]],
                         target_dim=dt, equal=equal)
 
 
+def _transpositions(n: int) -> list[list[int]]:
+    """The adjacent transpositions (k k+1) of [n], k < n, as involutions
+    of the dense exponent positions: x_ij and x_(tau i)(tau j) trade
+    places."""
+    pos = column_position(2, n)
+    perms = []
+    for k in range(1, n):
+        tau = {k: k + 1, k + 1: k}
+        perms.append([pos[pair(tau.get(i, i), tau.get(j, j))]
+                      for i, j in variable_multisets(2, n)])
+    return perms
+
+
+def _permutes_records(n: int, edges: list[tuple], others: list[tuple],
+                      omitted: int | None) -> bool:
+    """Whether permuting [n] permutes the records of ``_check_degrees``
+    with its degrees, an exact test over the adjacent transpositions,
+    which generate S_n.  It holds when all of these do:
+
+    - the edges are an invariant set of unordered monomial pairs;
+    - the other generators are an invariant set of normal forms
+      (``normal_form``), and every principal minor is an edge, so that
+      they act through their class sums modulo J_n;
+    - the omitted character is None or trivial, or every generator is an
+      edge whose off-diagonal steps are even (every principal minor is
+      one); for a homogeneous step, its parity mask being 0 says so.
+      Then no column reaches ``_killed``, and a record depends on the
+      character only through whether it is None."""
+    if omitted and (others or any(off_diagonal_parities(du, n)
+                                  for _, du in edges)):
+        return False
+    # An edge's columns join the same points whichever end is u0.
+    pairs = {frozenset((u0, tuple(map(add, u0, du)))) for u0, du in edges}
+    if others and not {frozenset(g.terms)
+                       for g in principal_minor_gens(n)} <= pairs:
+        return False
+    polys = [{tuple(map(add, u0, du)): c for du, c in offsets}
+             for u0, offsets in others]
+
+    def moved(perm) -> tuple[set, set]:
+        """The edge pairs and the others' normal forms, permuted."""
+        def move(u):
+            return tuple(u[c] for c in perm)
+        return ({frozenset(map(move, p)) for p in pairs},
+                {frozenset(normal_form(SparsePoly(
+                    n, {move(u): c for u, c in terms.items()})).items())
+                 for terms in polys})
+
+    fixed = moved(range(len(variable_multisets(2, n))))
+    return all(moved(perm) == fixed for perm in _transpositions(n))
+
+
 def _check_degrees(n: int, gens: list[SparsePoly], omitted: int | None,
                    bound: int) -> tuple[DegreeRecord, ...]:
     """Per degree up to the bound, whether the generators span the common
     kernel of every sign character but the ``omitted`` one (of every
     character when it is None): the characters annihilate the span,
-    which has the kernel's dimension.  The degrees and their fibers come
-    one even coordinate sum at a time from ``_fibers_of_sum``, in lex
-    order; every degree of even sum has a nonempty fiber.  A negative
-    bound raises ValueError."""
+    which has the kernel's dimension.  The records come in lex order
+    within each even coordinate sum; every degree of even sum has a
+    nonempty fiber.  A negative bound raises ValueError.
+
+    When ``_permutes_records`` holds, each degree with non-increasing
+    coordinates is decided once, from its own fiber, and every degree in
+    its S_n-orbit takes its record with the degree replaced.  This is
+    sound: a permutation sigma of [n] acts by x_ij -> x_(sigma i)(sigma j),
+    maps the fiber of b onto the fiber of sigma(b), and maps
+    principal-minor moves onto principal-minor moves.
+    - An invariant set of edges has its graph on fiber(b) mapped onto its
+      graph on fiber(sigma b), so the component count is the same.
+    - The mask of ``off_diagonal_parities`` reads only the pairs of
+      [n-1], but together with b's parities it fixes every off-diagonal
+      parity: b_i = 2*x_ii + sum over j != i of x_ij gives the parity of
+      x_in.  So two points of a fiber share a mask exactly when they
+      share every off-diagonal parity, which sigma respects: the count
+      |D| of distinct masks, and whether all 2^B of them occur, are the
+      same at b and sigma(b), and so is the target dimension.
+    - The other generators act only through their class sums modulo
+      J_n, which the edges contain: sigma(g) is another generator modulo
+      J_n, so it lies in the ideal, and sigma maps the ideal's piece at b
+      onto its piece at sigma(b).  With the trivial character omitted, or none, sigma
+      permutes the other components (it fixes the untwisted one), so it
+      maps the target at b onto the target at sigma(b) and keeps the
+      containment.
+    - With a twisted character and only mask-preserving edges, each
+      component has one mask, so no column is tested by ``_killed`` and
+      the record is the one the trivial character gives.
+    Otherwise the degrees and their fibers come one even coordinate sum
+    at a time from ``_fibers_of_sum``.  Both routes stop first, through
+    ``_check_level``, when the largest level passes the size cap."""
     if bound < 0:
         raise ValueError("a negative degree bound leaves no degree to check")
     # The largest level first, so that a run past the size cap stops at once.
     _check_level(n, bound - bound % 2)
     edges, others = _split_edges(_prepared(gens, n))
+    if _permutes_records(n, edges, others, omitted):
+        decided: dict[tuple[int, ...], DegreeRecord] = {}
+        records = []
+        for b in degrees_up_to(n, bound):
+            rep = tuple(sorted(b, reverse=True))
+            if rep not in decided:
+                decided[rep] = _decide_degree(rep, n, _raw_fiber(2, n, rep),
+                                              edges, others, omitted)
+            records.append(decided[rep]._replace(degree=b))
+        return tuple(records)
     records = []
     for s in range(0, bound + 1, 2):
         records += [_decide_degree(b, n, fiber, edges, others, omitted)

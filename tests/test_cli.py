@@ -612,6 +612,15 @@ RECORD_STREAM_DIGESTS = {
         "c40aafbcbdeceea7c4e4ef378ac648923e70d91253f8aefaff143d3cee668c1a",
     "verify-decomp --json -n 5 --bound 8":
         "160d3c93ec06d16ff9baf6f6451b93a9ffbb8fdb4911058ad25983c47793882d",
+    # The orbit route, one record per degree copied from its orbit's
+    # representative; these were taken from the every-level route.  The
+    # first passes its gate through the normal form of f.
+    "verify-link -n 4 --bound 12":
+        "182d8bd3e8f777bb7296126ebfe0a0ae09ed72140910ea61adbbfd54874e60b1",
+    "verify-link --json -n 5 --bound 16":
+        "dfb3aa8d81b411de1c18ebe0def387e515b5be6c9641880e8ecd78b8c9d160b4",
+    "verify-decomp -n 6 --bound 10":
+        "1de68b4b79aef576f93887c6bbca1c12b49496bac673c46b65e560b4bad05c12",
 }
 
 

@@ -189,23 +189,41 @@ def test_generator_degrees_are_read_once_per_check(monkeypatch):
 
 
 def test_each_level_is_enumerated_once(monkeypatch):
-    # One level per even coordinate sum, in order, and no single-fiber
-    # enumeration: every degree's fiber comes from its level, and every
-    # point made lands in one record.
-    import verolink.fibers as fibers
+    # A twisted character with extra generators fails the orbit gate, so
+    # the degrees come one level per even coordinate sum, in order, with
+    # no single-fiber enumeration: every degree's fiber comes from its
+    # level, and every point made lands in one record.
     import verolink.verify as verify
     levels = []
     real = verify._fibers_of_sum
     monkeypatch.setattr(verify, "_fibers_of_sum",
                         lambda n, s: levels.append((s, real(n, s))) or levels[-1][1])
-    monkeypatch.setattr(fibers, "_raw_fiber", None)
-    report = verify_link(3, 0, 6)
+    monkeypatch.setattr(verify, "_raw_fiber", None)
+    report = verify_link(3, 1, 6)
     assert report.verdict
     assert [s for s, _ in levels] == [0, 2, 4, 6]
     assert [b for _, level in levels for b in sorted(level)] \
         == [r.degree for r in report.records]
     assert sum(len(f) for _, level in levels for f in level.values()) \
         == sum(r.fiber_size for r in report.records)
+
+
+def test_each_orbit_is_enumerated_once(monkeypatch):
+    # J_5 passes the orbit gate: no level is built, and one fiber is made
+    # per degree with non-increasing coordinates, the 36 partitions of
+    # the even sums up to 8 into at most five parts.
+    import verolink.verify as verify
+    made = []
+    real = verify._raw_fiber
+    monkeypatch.setattr(verify, "_raw_fiber",
+                        lambda d, n, b: made.append(b) or real(d, n, b))
+    monkeypatch.setattr(verify, "_fibers_of_sum", None)
+    report = verify_decomposition(5, 8)
+    assert report.verdict
+    assert len(made) == len(set(made)) == 36
+    assert all(list(b) == sorted(b, reverse=True) for b in made)
+    assert {tuple(sorted(r.degree, reverse=True))
+            for r in report.records} == set(made)
 
 
 def test_a_run_past_the_size_cap_stops_before_any_level(monkeypatch):
