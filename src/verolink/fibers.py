@@ -193,9 +193,8 @@ def _fibers_of_sum(n: int, s: int) -> dict[tuple[int, ...], list[tuple[int, ...]
     ``combinations_with_replacement`` gives the column multisets in
     lexicographic order, which is descending order on exponent tuples,
     so each degree's bucket is reversed.  Raises SizeCapExceeded when
-    the level has more monomials than ``size_cap()``.  Its callers are
-    the level route of ``verify._check_degrees``, taken by inputs that
-    fail its orbit gate, and ``ideals.veronese_minor_gens``, at sum 4.
+    the level has more monomials than ``size_cap()``.  Its one caller is
+    ``ideals.veronese_minor_gens``, at sum 4.
     """
     if s < 0 or s % 2:
         return {}

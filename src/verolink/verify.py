@@ -25,15 +25,14 @@ from operator import add, ge, or_, sub
 
 from .exactlin import (IntMatrix, _smith_diagonal, clear_denominators,
                        kernel_lattice, rational_nullspace, rational_rank)
-from .fibers import (_check_level, _components, _fibers_of_sum, _raw_fiber,
-                     degrees_up_to, minimal_saturated_fibers,
-                     off_diagonal_parities)
+from .fibers import (_check_level, _components, _raw_fiber, degrees_up_to,
+                     minimal_saturated_fibers, off_diagonal_parities)
 from .ideals import (generator_lattice, higher_veronese_gens,
                      principal_minor_gens, veronese_minor_gens)
 from .link import link_generators
 from .poly import (SparsePoly, _check_mask, all_characters, character_sign,
                    character_spec, in_principal_minor_ideal, multidegree,
-                   normal_form)
+                   normal_form, twist, twisting_from_character)
 from .veronese import (column_position, pair, pair_count, variable_multisets,
                        veronese_matrix)
 
@@ -268,24 +267,17 @@ def _transpositions(n: int) -> list[list[int]]:
     return perms
 
 
-def _permutes_records(n: int, edges: list[tuple], others: list[tuple],
-                      omitted: int | None) -> bool:
+def _permutes_records(n: int, edges: list[tuple], others: list[tuple]) -> bool:
     """Whether permuting [n] permutes the records of ``_check_degrees``
     with its degrees, an exact test over the adjacent transpositions,
-    which generate S_n.  It holds when all of these do:
+    which generate S_n.  It holds when both of these do:
 
     - the edges are an invariant set of unordered monomial pairs;
     - the other generators are an invariant set of normal forms
       (``normal_form``), and every principal minor is an edge, so that
-      they act through their class sums modulo J_n;
-    - the omitted character is None or trivial, or every generator is an
-      edge whose off-diagonal steps are even (every principal minor is
-      one); for a homogeneous step, its parity mask being 0 says so.
-      Then no column reaches ``_killed``, and a record depends on the
-      character only through whether it is None."""
-    if omitted and (others or any(off_diagonal_parities(du, n)
-                                  for _, du in edges)):
-        return False
+      they act through their class sums modulo J_n.
+    The omitted character is then trivial or none: ``_check_degrees``
+    untwists any other first."""
     # An edge's columns join the same points whichever end is u0.
     pairs = {frozenset((u0, tuple(map(add, u0, du)))) for u0, du in edges}
     if others and not {frozenset(g.terms)
@@ -316,6 +308,20 @@ def _check_degrees(n: int, gens: list[SparsePoly], omitted: int | None,
     within each even coordinate sum; every degree of even sum has a
     nonempty fiber.  A negative bound raises ValueError.
 
+    A twisted character chi is decided through its untwisting, with the
+    same records: each generator g becomes twist(g, tau), for the
+    twisting tau of ``twisting_from_character``, which flips the
+    negative pairs of chi, and the trivial character is omitted instead.
+    - tau is a ring automorphism x_ij -> +-x_ij that keeps multidegrees
+      and fixes every principal minor (its terms have even off-diagonal
+      exponents), so it maps the ideal of tau(G) onto that of G.
+    - tau scales the coefficient of x^u by chi(mask(u)), for the mask of
+      ``off_diagonal_parities``, so a character chi' composed with tau is
+      chi'*chi: tau maps the kernel of every character but the trivial
+      one onto the kernel of every character but chi.
+    So fiber sizes, dimensions and containments agree at every degree.
+    The link generators of chi untwist to those of the trivial one.
+
     When ``_permutes_records`` holds, each degree with non-increasing
     coordinates is decided once, from its own fiber, and every degree in
     its S_n-orbit takes its record with the degree replaced.  This is
@@ -334,35 +340,30 @@ def _check_degrees(n: int, gens: list[SparsePoly], omitted: int | None,
     - The other generators act only through their class sums modulo
       J_n, which the edges contain: sigma(g) is another generator modulo
       J_n, so it lies in the ideal, and sigma maps the ideal's piece at b
-      onto its piece at sigma(b).  With the trivial character omitted, or none, sigma
-      permutes the other components (it fixes the untwisted one), so it
-      maps the target at b onto the target at sigma(b) and keeps the
-      containment.
-    - With a twisted character and only mask-preserving edges, each
-      component has one mask, so no column is tested by ``_killed`` and
-      the record is the one the trivial character gives.
-    Otherwise the degrees and their fibers come one even coordinate sum
-    at a time from ``_fibers_of_sum``.  Both routes stop first, through
-    ``_check_level``, when the largest level passes the size cap."""
+      onto its piece at sigma(b).  With the trivial character omitted,
+      or none, sigma permutes the other components (it fixes the
+      untwisted one), so it maps the target at b onto the target at
+      sigma(b) and keeps the containment.
+    Otherwise every degree is decided from its own fiber.  The check
+    stops first, through ``_check_level``, when the largest level passes
+    the size cap."""
     if bound < 0:
         raise ValueError("a negative degree bound leaves no degree to check")
     # The largest level first, so that a run past the size cap stops at once.
     _check_level(n, bound - bound % 2)
+    if omitted:
+        flips = twisting_from_character(n, omitted)
+        gens, omitted = [twist(g, flips) for g in gens], 0
     edges, others = _split_edges(_prepared(gens, n))
-    if _permutes_records(n, edges, others, omitted):
-        decided: dict[tuple[int, ...], DegreeRecord] = {}
-        records = []
-        for b in degrees_up_to(n, bound):
-            rep = tuple(sorted(b, reverse=True))
-            if rep not in decided:
-                decided[rep] = _decide_degree(rep, n, _raw_fiber(2, n, rep),
-                                              edges, others, omitted)
-            records.append(decided[rep]._replace(degree=b))
-        return tuple(records)
+    orbits = _permutes_records(n, edges, others)
+    decided: dict[tuple[int, ...], DegreeRecord] = {}
     records = []
-    for s in range(0, bound + 1, 2):
-        records += [_decide_degree(b, n, fiber, edges, others, omitted)
-                    for b, fiber in sorted(_fibers_of_sum(n, s).items())]
+    for b in degrees_up_to(n, bound):
+        rep = tuple(sorted(b, reverse=True)) if orbits else b
+        if rep not in decided:
+            decided[rep] = _decide_degree(rep, n, _raw_fiber(2, n, rep),
+                                          edges, others, omitted)
+        records.append(decided[rep]._replace(degree=b))
     return tuple(records)
 
 

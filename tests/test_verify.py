@@ -9,7 +9,7 @@ from verolink.errors import SizeCapExceeded
 from verolink.exactlin import (_smith_diagonal, contains_column_space,
                                invariant_factors, kernel_lattice,
                                rational_rank)
-from verolink.fibers import _raw_fiber, minimal_saturated_fibers
+from verolink.fibers import _raw_fiber, degrees_up_to, minimal_saturated_fibers
 from verolink.ideals import generator_lattice, principal_minor_gens
 from verolink.link import link_generators, saturated_fiber_poly
 from verolink.poly import SparsePoly, all_characters, parse_poly
@@ -188,24 +188,24 @@ def test_generator_degrees_are_read_once_per_check(monkeypatch):
     assert len(calls) == len(link_generators(3, omitted))
 
 
-def test_each_level_is_enumerated_once(monkeypatch):
-    # A twisted character with extra generators fails the orbit gate, so
-    # the degrees come one level per even coordinate sum, in order, with
-    # no single-fiber enumeration: every degree's fiber comes from its
-    # level, and every point made lands in one record.
+def test_a_refused_input_enumerates_each_degree_once(monkeypatch):
+    # J_3 without its first minor fails the orbit gate, so every degree
+    # is decided from its own fiber, made once, in the records' order,
+    # and no level is built: every point made lands in one record.
+    import verolink.fibers as fibers
     import verolink.verify as verify
-    levels = []
-    real = verify._fibers_of_sum
-    monkeypatch.setattr(verify, "_fibers_of_sum",
-                        lambda n, s: levels.append((s, real(n, s))) or levels[-1][1])
-    monkeypatch.setattr(verify, "_raw_fiber", None)
-    report = verify_link(3, 1, 6)
-    assert report.verdict
-    assert [s for s, _ in levels] == [0, 2, 4, 6]
-    assert [b for _, level in levels for b in sorted(level)] \
-        == [r.degree for r in report.records]
-    assert sum(len(f) for _, level in levels for f in level.values()) \
-        == sum(r.fiber_size for r in report.records)
+    made = []
+    real = verify._raw_fiber
+    monkeypatch.setattr(
+        verify, "_raw_fiber",
+        lambda d, n, b: made.append((b, real(d, n, b))) or made[-1][1])
+    monkeypatch.setattr(fibers, "_fibers_of_sum", None)
+    assert not hasattr(verify, "_fibers_of_sum")
+    records = verify._check_degrees(3, principal_minor_gens(3)[1:], None, 6)
+    assert not all(r.equal for r in records)
+    assert [b for b, _ in made] == [r.degree for r in records] \
+        == list(degrees_up_to(3, 6))
+    assert sum(len(f) for _, f in made) == sum(r.fiber_size for r in records)
 
 
 def test_each_orbit_is_enumerated_once(monkeypatch):
@@ -217,7 +217,6 @@ def test_each_orbit_is_enumerated_once(monkeypatch):
     real = verify._raw_fiber
     monkeypatch.setattr(verify, "_raw_fiber",
                         lambda d, n, b: made.append(b) or real(d, n, b))
-    monkeypatch.setattr(verify, "_fibers_of_sum", None)
     report = verify_decomposition(5, 8)
     assert report.verdict
     assert len(made) == len(set(made)) == 36
@@ -226,10 +225,10 @@ def test_each_orbit_is_enumerated_once(monkeypatch):
             for r in report.records} == set(made)
 
 
-def test_a_run_past_the_size_cap_stops_before_any_level(monkeypatch):
+def test_a_run_past_the_size_cap_stops_before_any_fiber(monkeypatch):
     # Sum 6 at n = 4 has 220 monomials; sums 0 to 4 fit under the cap.
     import verolink.verify as verify
-    monkeypatch.setattr(verify, "_fibers_of_sum", None)
+    monkeypatch.setattr(verify, "_raw_fiber", None)
     monkeypatch.setenv("VLAB_SIZE_CAP", "219")
     with pytest.raises(SizeCapExceeded, match="220"):
         verify_decomposition(4, 6)
