@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import re
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb
 from operator import add, ge
 
@@ -179,39 +178,11 @@ def enumerate_fiber(n: int, b) -> list[tuple[int, ...]]:
 def _check_level(n: int, s: int) -> None:
     """Raise SizeCapExceeded when the monomials of even coordinate sum s,
     the multisets of s/2 of the binom(n+1, 2) columns, pass
-    ``size_cap()``."""
+    ``size_cap()``; ``ideals.veronese_minor_gens`` checks sum 4 and
+    ``verify._check_degrees`` the largest even sum up to its bound."""
     check_size(2, n)
     _check_count(comb(comb(n + 1, 2) + s // 2 - 1, s // 2),
                  f"monomials of coordinate sum {s}")
-
-
-def _fibers_of_sum(n: int, s: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """Every nonempty fiber of coordinate sum s, keyed by its degree, each
-    as ``_raw_fiber`` gives it, from one pass over the monomials of total
-    degree s/2: each is made once, and no branch of a search dies.
-
-    ``combinations_with_replacement`` gives the column multisets in
-    lexicographic order, which is descending order on exponent tuples,
-    so each degree's bucket is reversed.  Raises SizeCapExceeded when
-    the level has more monomials than ``size_cap()``.  Its one caller is
-    ``ideals.veronese_minor_gens``, at sum 4.
-    """
-    if s < 0 or s % 2:
-        return {}
-    _check_level(n, s)
-    rows = [tuple(i - 1 for i in ms) for ms in variable_multisets(2, n)]
-    ncols, r = len(rows), s // 2
-    fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for combo in combinations_with_replacement(range(ncols), r):
-        exps, degree = [0] * ncols, [0] * n
-        for c in combo:
-            exps[c] += 1
-            for i in rows[c]:
-                degree[i] += 1
-        fibers.setdefault(tuple(degree), []).append(tuple(exps))
-    for fiber in fibers.values():
-        fiber.reverse()
-    return fibers
 
 
 @lru_cache(maxsize=None)

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .exactlin import IntMatrix
-from .fibers import _fibers_of_sum
+from .fibers import _check_level
 from .poly import SparsePoly
 from .veronese import (check_size, column_position, monomial,
                        variable_multisets)
@@ -38,13 +38,23 @@ def veronese_minor_gens(n: int) -> list[SparsePoly]:
     2e_i + 2e_j, {x_ii*x_jk, x_ij*x_ik} at 2e_i + e_j + e_k, and any two
     of the three products x_ij*x_kl, x_ik*x_jl, x_il*x_jk at
     e_i + e_j + e_k + e_l; the fibers of 4e_i and 3e_i + e_j have one
-    point.
+    point.  The fibers are the products of two variables grouped by
+    degree, their sorted index 4-tuple; pairs of columns come in
+    lexicographic order, descending on exponents, so each group lists its
+    larger point first.  ``_check_level`` counts the products first.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    check_size(2, n)
-    pairs = sorted(((a, b) for fiber in _fibers_of_sum(n, 4).values()
-                    for b, a in combinations(fiber, 2)), reverse=True)
+    _check_level(n, 4)
+    cols = variable_multisets(2, n)
+    fibers = {}
+    for p, q in combinations_with_replacement(range(len(cols)), 2):
+        exps = [0] * len(cols)
+        exps[p] += 1
+        exps[q] += 1
+        fibers.setdefault(tuple(sorted(cols[p] + cols[q])), []).append(tuple(exps))
+    pairs = sorted((pair for fiber in fibers.values()
+                    for pair in combinations(fiber, 2)), reverse=True)
     return [SparsePoly(n, {a: 1, b: -1}) for a, b in pairs]
 
 

@@ -379,6 +379,20 @@ def test_the_verify_size_cap_counts_the_largest_level(capsys, monkeypatch):
     assert code == 0 and out.endswith("verdict=pass checked=130\n")
 
 
+def test_the_colon_size_cap_counts_the_level_of_the_minors(capsys,
+                                                           monkeypatch):
+    # The 2-minors at n = 3 are read off sum 4: binom(7, 2) = 21 monomials.
+    argv, stdin = ["colon", "-n", "3"], "x11*x23 + x12*x13"
+    monkeypatch.setenv("VLAB_SIZE_CAP", "20")
+    code, out, err = run(capsys, argv, stdin, monkeypatch)
+    assert code == 3 and out == ""
+    assert err.endswith(
+        "the 21 monomials of coordinate sum 4 exceed the size cap 20\n")
+    monkeypatch.setenv("VLAB_SIZE_CAP", "21")
+    code, out, _ = run(capsys, argv, stdin, monkeypatch)
+    assert code == 0 and out == "yes\n"
+
+
 def test_a_negative_max_sum_is_a_usage_error(capsys):
     code, out, err = run(capsys, ["hilbert", "-n", "3", "--max-sum", "-1"])
     assert code == 2 and out == ""

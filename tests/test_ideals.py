@@ -1,10 +1,12 @@
 """Unit tests for the generator sets."""
 
+import hashlib
+
 import pytest
 
 from verolink.ideals import (generator_lattice, higher_veronese_gens,
                              principal_minor_gens, veronese_minor_gens)
-from verolink.poly import multidegree, parse_poly
+from verolink.poly import multidegree, parse_poly, render_poly
 from verolink.veronese import (minor_vector, monomial, pair_count,
                                variable_multisets, veronese_matrix)
 
@@ -62,7 +64,7 @@ def test_veronese_minor_gens_n2():
         [parse_poly("x11*x22 - x12*x12")])
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_veronese_minor_gens_brute_force(n):
     # Independent oracle: enumerate every index quadruple, build the
     # binomial from scratch, and dedupe by sign-normalized support.
@@ -93,6 +95,26 @@ def test_veronese_minor_gens_brute_force(n):
     leads = [g.sorted_terms()[0] for g in gens]
     assert all(c == 1 for _, c in leads)
     assert all(a >= b for (a, _), (b, _) in zip(leads, leads[1:]))
+
+
+#: SHA-256 of the rendered minors, one per line, in the order given.
+MINOR_DIGESTS = {
+    2: "78c7e9b9efd484d418c5d1eb6a77243677461f6acaa4a7753a44b59491ab109a",
+    3: "d218d7d26f42d5a3853bb569b7108f09da73c7f765fde4bb07c95da4a336b951",
+    4: "7c36988d598eb866c8d1dfb64dfa49c2fd09d9b0cce668d4c2a3a6c9f2816262",
+    5: "117bed3974316819e864e2164864982850314f10abdd52b559dea0cfcf5b62d4",
+    6: "7ace198819a8eabd555f805bc2f8c9dc22547f3a3e63168285ed44f93b2b0ce4",
+    7: "4dd50340a7bc73058868e971771b028b44fd53209703e00218075bf00601a754",
+    8: "03b8689f3a01c777298e8d041cf1452bed3b4381c205b432bf1378ce3c00779e",
+}
+
+
+@pytest.mark.parametrize("n", sorted(MINOR_DIGESTS))
+def test_veronese_minor_gens_are_pinned(n):
+    # Byte for byte, so the order of two minors with one leading term
+    # is held too, which the brute-force test leaves open.
+    text = "\n".join(render_poly(g) for g in veronese_minor_gens(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == MINOR_DIGESTS[n]
 
 
 def test_minor_exponent_vectors_match_brackets():

@@ -1,7 +1,7 @@
 """Property tests of class keys, twisting, the text grammar, characters,
-normal forms, fiber enumeration, the class search, the level
-enumeration, the class route of the degree check, the Hermite and Smith
-transforms and the shortcuts of the elimination kernels.
+normal forms, fiber enumeration, the class search, the class route of
+the degree check, the Hermite and Smith transforms and the shortcuts of
+the elimination kernels.
 
 Runs derandomized, so every run draws the same examples; skipped when
 hypothesis is not installed.
@@ -22,8 +22,8 @@ from verolink.exactlin import (IntMatrix, _hermite, _smith_diagonal,
                                det, hermite_normal_form,
                                rational_rank, rational_rref,
                                smith_normal_form)
-from verolink.fibers import (_class_maxima, _fibers_of_sum, _raw_fiber,
-                             class_key, degrees_up_to, enumerate_fiber,
+from verolink.fibers import (_class_maxima, _raw_fiber,
+                             class_key, enumerate_fiber,
                              off_diagonal_parities)
 from verolink.link import link_generators
 from verolink.poly import (SparsePoly, character_pairs, character_value,
@@ -242,17 +242,6 @@ def test_class_search_finds_the_largest_point_of_every_class(data):
     b = tuple(data.draw(degrees)[:n])
     expected = {off_diagonal_parities(e, n): e for e in _raw_fiber(2, n, b)}
     assert _class_maxima(n, b) == expected
-
-
-@PROPERTY
-@given(st.data())
-def test_a_level_holds_the_raw_fibers_of_its_sum(data):
-    # Odd sums included: they miss the monoid and have no fiber.
-    n = data.draw(sizes)
-    s = data.draw(st.integers(0, 8))
-    expected = {b: _raw_fiber(2, n, b) for b in degrees_up_to(n, s)
-                if sum(b) == s}
-    assert _fibers_of_sum(n, s) == expected
 
 
 @PROPERTY
