@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 from verolink.errors import SizeCapExceeded
-from verolink.fibers import (_class_maxima, _raw_fiber,
+from verolink.fibers import (_check_level, _class_maxima, _raw_fiber,
                              canonical_representative, class_count, class_key,
                              connectivity_classes, degrees_up_to,
                              enumerate_fiber, fiber_classes,
@@ -115,6 +115,27 @@ def test_size_cap_env_override(monkeypatch):
 def test_size_cap_reads_ascii_integers(monkeypatch, raw, cap):
     monkeypatch.setenv("VLAB_SIZE_CAP", raw)
     assert size_cap() == cap
+
+
+@pytest.mark.parametrize("s", [-2, -1, 1, 7])
+def test_a_sum_off_the_monoid_has_no_fibers(s):
+    # Each variable adds 2 to the coordinate sum: no degree of sum s is
+    # listed, and every composition of s into 3 parts has an empty fiber.
+    assert not [b for b in degrees_up_to(3, max(s, 0)) if sum(b) == s]
+    for b in product(range(max(s, 0) + 1), repeat=3):
+        if sum(b) == s:
+            assert _raw_fiber(2, 3, b) == []
+
+
+def test_the_size_cap_counts_the_monomials_of_a_level(monkeypatch):
+    # Sum 6 at n = 4: binom(12, 3) = 220 monomials, at most 6 per fiber.
+    degrees = [b for b in degrees_up_to(4, 6) if sum(b) == 6]
+    assert sum(len(_raw_fiber(2, 4, b)) for b in degrees) == 220
+    monkeypatch.setenv("VLAB_SIZE_CAP", "219")
+    with pytest.raises(SizeCapExceeded, match="the 220 monomials of"):
+        _check_level(4, 6)
+    monkeypatch.setenv("VLAB_SIZE_CAP", "220")
+    assert _check_level(4, 6) is None
 
 
 def test_degree_round_trip():
