@@ -132,10 +132,11 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 def _row_sub(H: list[list[int]], i: int, k: int, q: int, pc: int) -> None:
     """Row i minus q times row k; row k is zero left of column pc, so
-    only columns ``pc..`` of row i are rewritten."""
-    if q:
-        Hi, Hk = H[i], H[k]
-        H[i] = Hi[:pc] + [x - q * y for x, y in zip(Hi[pc:], Hk[pc:])]
+    only columns ``pc..`` of row i are rewritten.  No caller passes
+    q = 0: an echelon pivot has the least magnitude in its column, and
+    a Hermite reduction skips entries already in ``[0, pivot)``."""
+    Hi, Hk = H[i], H[k]
+    H[i] = Hi[:pc] + [x - q * y for x, y in zip(Hi[pc:], Hk[pc:])]
 
 
 def _echelon(H: list[list[int]], width: int | None = None) -> list[int]:
@@ -189,13 +190,16 @@ def _hermite(H: list[list[int]], width: int | None = None) -> None:
     first ``width`` columns (in all when None).
 
     After the echelon form, the entries above each pivot are reduced
-    into ``[0, pivot)``, pivot by pivot from the left.  No echelon step
-    reads a row above its pivot, so H is the same as if each column were
-    reduced as soon as its pivot is found.
+    into ``[0, pivot)``, pivot by pivot from the left; an entry already
+    there is left alone.  No echelon step reads a row above its pivot,
+    so H is the same as if each column were reduced as soon as its pivot
+    is found.
     """
     for pr, pc in enumerate(_echelon(H, width)):
+        p = H[pr][pc]
         for i in range(pr):
-            _row_sub(H, i, pr, H[i][pc] // H[pr][pc], pc)
+            if not 0 <= H[i][pc] < p:
+                _row_sub(H, i, pr, H[i][pc] // p, pc)
 
 
 def _transpose(rows: list[list[int]]) -> list[list[int]]:

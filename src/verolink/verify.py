@@ -24,7 +24,8 @@ from functools import reduce
 from operator import add, ge, or_, sub
 
 from .exactlin import (IntMatrix, _smith_diagonal, clear_denominators,
-                       kernel_lattice, rational_nullspace, rational_rank)
+                       column_lattice_basis, rational_nullspace,
+                       rational_rank)
 from .fibers import (_check_level, _components, _raw_fiber, degrees_up_to,
                      minimal_saturated_fibers, off_diagonal_parities)
 from .ideals import (generator_lattice, higher_veronese_gens,
@@ -480,15 +481,18 @@ def higher_torsion(d: int, n: int) -> list[int]:
     diagonal of the generator matrix, read with no coordinates in a
     basis of K and no transform.  Two exact checks keep this honest: the
     grading kills every generator, so L lies in K, and the diagonal has
-    as many nonzero entries as a basis of K has vectors, so K/L is
-    finite.  That basis carries the one Hermite transform built here.
+    as many nonzero entries as K has rank, so K/L is finite.  Z^N/K is
+    the lattice of the grading's columns, so K's rank is N minus the
+    size of a basis of that lattice; no basis of K is built.  The
+    grading meets one generator column at a time, with no product
+    matrix.
     """
     sub = generator_lattice(higher_veronese_gens(d, n))
     grading = veronese_matrix(d, n)
-    if not (grading @ sub).is_zero():
+    if any(any(grading.mul_vector(v)) for v in zip(*sub.data)):
         raise ValueError("columns of sub do not lie in the span of ambient")
     factors = _smith_diagonal(sub)
-    if len(factors) < kernel_lattice(grading).cols:
+    if len(factors) < grading.cols - column_lattice_basis(grading).cols:
         raise ValueError("sublattice has lower rank than the ambient lattice")
     return [f for f in factors if f > 1]
 

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from verolink.exactlin import (IntMatrix, _hermite, _smith_diagonal,
                                clear_denominators,
                                column_lattice_basis, contains_column_space,
-                               det, hermite_normal_form,
+                               det, hermite_normal_form, kernel_lattice,
                                rational_rank, rational_rref,
                                smith_normal_form)
 from verolink.fibers import (_class_maxima, _raw_fiber,
@@ -327,3 +327,23 @@ def test_the_column_lattice_basis_is_the_nonzero_hermite_rows(M):
     H, _ = hermite_normal_form(M.transpose())
     basis = [row for row in H.data if any(row)]
     assert column_lattice_basis(M) == IntMatrix.from_columns(basis, rows=M.rows)
+
+
+@st.composite
+def with_zero_rows(draw):
+    """A drawn matrix with up to two zero rows put in at drawn places."""
+    M = draw(st.one_of(int_matrices, deficient_int_matrices()))
+    rows = [row[:] for row in M.data]
+    for _ in range(draw(st.integers(1, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * M.cols)
+    return IntMatrix(rows, cols=M.cols)
+
+
+@PROPERTY
+@given(st.one_of(zero_matrices, int_matrices, deficient_int_matrices(),
+                 with_zero_rows()))
+@example(IntMatrix([[0, 0, 0], [1, 2, 3], [0, 0, 0]]))
+@example(IntMatrix([[2, 4], [3, 6]]))
+def test_the_kernel_rank_is_the_columns_less_the_column_lattice_rank(M):
+    # Z^k over the integer kernel is the lattice of the columns.
+    assert M.cols - column_lattice_basis(M).cols == kernel_lattice(M).cols

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from verolink import verify
+from verolink import exactlin, verify
 from verolink.errors import SizeCapExceeded
-from verolink.exactlin import (_smith_diagonal, contains_column_space,
+from verolink.exactlin import (_smith_diagonal, column_lattice_basis,
+                               contains_column_space,
                                invariant_factors, kernel_lattice,
                                rational_rank)
 from verolink.fibers import _raw_fiber, degrees_up_to, minimal_saturated_fibers
@@ -404,6 +405,30 @@ def test_the_kernel_of_the_grading_is_saturated(d, n):
     assert _smith_diagonal(K) == [1] * K.cols == [1] * (K.rows - n)
 
 
+@pytest.mark.parametrize("d,n", sorted(TORSION_COUNTS))
+def test_the_kernel_rank_is_the_columns_less_the_grading_rank(d, n):
+    # The count the torsion checks K/L's finiteness against.
+    grading = veronese_matrix(d, n)
+    assert grading.cols - column_lattice_basis(grading).cols \
+        == kernel_lattice(grading).cols == grading.cols - n
+
+
+def refuse_a_kernel_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the torsion built a kernel basis")
+
+    # kernel_lattice reads hermite_normal_form from exactlin, so a copy
+    # of it imported elsewhere is refused too.
+    for name in ("hermite_normal_form", "kernel_lattice"):
+        monkeypatch.setattr(exactlin, name, refuse)
+
+
+def test_the_torsion_builds_no_kernel_basis(monkeypatch):
+    refuse_a_kernel_basis(monkeypatch)
+    assert higher_torsion(3, 4) == [3] * 13
+    assert higher_torsion(4, 6) == [4] * 115
+
+
 def drop_one(gens, d, n):
     return gens[:-1]
 
@@ -424,6 +449,7 @@ def test_a_mutant_generator_set_is_refused_as_by_the_two_lattice_route(
                         lambda d, n: mutant(real(d, n), d, n))
     with pytest.raises(ValueError) as reference:
         two_lattice_torsion(d, n)
+    refuse_a_kernel_basis(monkeypatch)
     with pytest.raises(ValueError) as raised:
         higher_torsion(d, n)
     assert str(raised.value) == str(reference.value)
